@@ -14,8 +14,8 @@
 #include "node/Cluster.h"
 
 #ifdef __linux__
-#include "sim/EpollNetwork.h"
 #include "sim/RealKernel.h"
+#include "sim/RealNetwork.h"
 #endif
 
 #include <algorithm>
@@ -202,8 +202,8 @@ void runShard(const ClusterConfig &Cfg, sim::ClusterKernel &Kernel,
     St.Result.FaultDigest = Inj->scheduleDigest();
   }
 #ifdef __linux__
-  if (auto *EN = dynamic_cast<sim::EpollNetwork *>(&RT.network()))
-    St.Result.Net = EN->recoveryStats();
+  if (auto *RN = dynamic_cast<sim::RealNetwork *>(&RT.network()))
+    St.Result.Net = RN->recoveryStats();
 #endif
 }
 

@@ -72,8 +72,8 @@ Runtime::Runtime(RuntimeConfig Config) : Config(Config) {
     Injector = std::make_unique<sim::FaultInjector>(Config.Faults,
                                                     Config.FaultSeed);
 #ifdef __linux__
-    if (auto *EN = dynamic_cast<sim::EpollNetwork *>(TheNetwork.get()))
-      EN->setFaultInjector(Injector.get());
+    if (auto *RN = dynamic_cast<sim::RealNetwork *>(TheNetwork.get()))
+      RN->setFaultInjector(Injector.get());
 #endif
     // Wrap after the network is built: the network keeps its concrete
     // reference to the real backend (delivery submits bypass jitter), while

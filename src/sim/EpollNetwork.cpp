@@ -1,4 +1,4 @@
-//===- EpollNetwork.cpp - Real TCP sockets behind the sim interface -----------===//
+//===- EpollNetwork.cpp - Real TCP sockets over epoll readiness ---------------===//
 //
 // Part of AsyncG-C++. MIT License.
 //
@@ -8,547 +8,168 @@
 
 #include "sim/EpollNetwork.h"
 
-#include "sim/Fault.h"
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 using namespace asyncg;
 using namespace asyncg::sim;
 
-//===----------------------------------------------------------------------===//
-// EpollSocket
-//===----------------------------------------------------------------------===//
-
-EpollSocket::EpollSocket(EpollKernel &EK, int Fd,
-                         std::unique_ptr<WireCodec> Codec)
-    : EK(EK), Fd(Fd), Codec(std::move(Codec)) {}
-
-EpollSocket::~EpollSocket() {
-  if (Fd >= 0) {
-    EK.unwatchFd(Fd);
-    ::close(Fd);
-    EK.noteSyscalls(1);
-  }
-}
-
-void EpollSocket::arm() {
-  std::weak_ptr<EpollSocket> Self =
-      std::static_pointer_cast<EpollSocket>(shared_from_this());
-  if (EK.watchFd(Fd, EPOLLIN, [Self](uint32_t Events) {
-        if (auto S = Self.lock())
-          S->onEvents(Events);
-      }))
-    Interest = EPOLLIN;
-}
-
-bool EpollSocket::write(const std::string &Msg) {
-  if (Ended || Destroyed || Fd < 0)
-    return false;
-  Codec->encode(Msg, Out);
-  return flushOut();
-}
-
-void EpollSocket::end() {
-  if (Ended || Destroyed || Fd < 0)
-    return;
-  Ended = true;
-  if (pendingOutBytes() > 0) {
-    EndAfterFlush = true;
-    return;
-  }
-  ::shutdown(Fd, SHUT_WR);
-  EK.noteSyscalls(1);
-  if (SawEof)
-    teardown(/*Reset=*/false);
-}
-
-void EpollSocket::destroy() {
-  if (Destroyed)
-    return;
-  Destroyed = true;
-  teardown(/*Reset=*/true);
-  // Deliver close asynchronously, like the sim's latency-delayed delivery:
-  // the caller's tick finishes before the close callback is scheduled.
-  std::weak_ptr<EpollSocket> Self =
-      std::static_pointer_cast<EpollSocket>(shared_from_this());
-  EK.submit(0, [Self] {
-    if (auto S = Self.lock())
-      S->deliverClose();
-  });
-}
-
-void EpollSocket::onEvents(uint32_t Events) {
-  if (Fd < 0)
-    return;
-  if (Events & EPOLLOUT) {
-    if (!flushOut())
-      return;
-  }
-  if (Events & (EPOLLIN | EPOLLHUP | EPOLLERR))
-    onReadable();
-}
-
-void EpollSocket::onReadable() {
-  char Buf[64 * 1024];
-  std::weak_ptr<EpollSocket> Self =
-      std::static_pointer_cast<EpollSocket>(shared_from_this());
-  int EintrSpins = 0;
-  for (;;) {
-    ssize_t N;
-    if (Faults && Faults->shouldInject(FaultKind::Reset)) {
-      if (RS)
-        ++RS->ResetsInjected;
-      N = -1;
-      errno = ECONNRESET;
-    } else if (Faults && Faults->shouldInject(FaultKind::Eintr)) {
-      N = -1;
-      errno = EINTR;
-    } else if (Faults && Faults->shouldInject(FaultKind::Eagain)) {
-      // Spurious not-ready. Safe under level-triggered epoll: if bytes
-      // really are pending the next sweep reports the fd readable again.
-      N = -1;
-      errno = EAGAIN;
-    } else {
-      N = ::recv(Fd, Buf, sizeof(Buf), 0);
-      EK.noteSyscalls(1);
-    }
-    if (N > 0) {
-      std::vector<std::string> Msgs;
-      if (!Codec->ingest(Buf, static_cast<size_t>(N), Msgs)) {
-        failConnection();
-        return;
-      }
-      // Deliver each message as its own kernel completion: the simulated
-      // network delivers one message per latency-delayed op, so per-message
-      // submits keep the tick structure (and with it detector behavior and
-      // the Async Graph shape) identical across backends.
-      for (std::string &M : Msgs)
-        EK.submit(0, [Self, Msg = std::move(M)] {
-          if (auto S = Self.lock())
-            S->deliverData(Msg);
-        });
-      continue;
-    }
-    if (N == 0) {
-      // Peer FIN. Deliver end once (after any queued data messages); the
-      // fd stays open for our outgoing direction — the sim peer can still
-      // receive our writes after it end()s — and is released once our own
-      // end() has flushed. No close event for this path (sim parity).
-      if (!SawEof) {
-        SawEof = true;
-        EK.submit(0, [Self] {
-          if (auto S = Self.lock())
-            S->deliverEnd();
-        });
-      }
-      if (Ended && Fd >= 0 && pendingOutBytes() == 0)
-        teardown(/*Reset=*/false);
-      else
-        updateInterest(); // drop EPOLLIN: a FIN-ed fd stays readable forever
-      return;
-    }
-    if (errno == EINTR) {
-      // Interrupted before any bytes moved: retry immediately, bounded so
-      // a signal storm can't wedge the loop — past the cap the pending
-      // bytes wait for the next level-triggered sweep. Returning on the
-      // first EINTR (the old behavior) cost a wakeup per signal.
-      if (RS)
-        ++RS->EintrRetries;
-      if (++EintrSpins > 64)
-        return;
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return;
-    // ECONNRESET and friends: the sim analogue is the peer destroying the
-    // pair — a close event.
-    if (RS)
-      ++RS->DrainedConns;
-    failConnection();
-    return;
-  }
-}
-
-bool EpollSocket::flushOut() {
-  int EintrSpins = 0;
-  while (OutOff < Out.size()) {
-    size_t Want = Out.size() - OutOff;
-    if (Faults && Want >= 2 && Faults->shouldInject(FaultKind::ShortWrite)) {
-      // Clamp to a strict prefix: the loop below naturally re-sends the
-      // rest, which is exactly the path a short kernel write exercises.
-      Want = Faults->shortenWrite(Want);
-      if (RS)
-        ++RS->ShortWrites;
-    }
-    ssize_t N;
-    if (Faults && Faults->shouldInject(FaultKind::Enobufs)) {
-      N = -1;
-      errno = ENOBUFS;
-    } else if (Faults && Faults->shouldInject(FaultKind::Eintr)) {
-      N = -1;
-      errno = EINTR;
-    } else {
-      N = ::send(Fd, Out.data() + OutOff, Want, MSG_NOSIGNAL);
-      EK.noteSyscalls(1);
-    }
-    if (N > 0) {
-      OutOff += static_cast<size_t>(N);
-      EnobufsStreak = 0;
-      continue;
-    }
-    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      updateInterest();
-      return true;
-    }
-    if (N < 0 && errno == EINTR) {
-      if (RS)
-        ++RS->EintrRetries;
-      if (++EintrSpins > 64) {
-        updateInterest(); // EPOLLOUT re-delivers; don't wedge the loop
-        return true;
-      }
-      continue;
-    }
-    if (N < 0 && (errno == ENOBUFS || errno == ENOMEM)) {
-      // Transient buffer exhaustion: keep the bytes queued and retry on a
-      // jittered exponential backoff timer (EPOLLOUT alone would fire
-      // immediately — the socket is writable, the kernel just has no
-      // buffers). Bounded: a persistent streak drains the connection.
-      if (RS)
-        ++RS->EnobufsRetries;
-      if (++EnobufsStreak > 10) {
-        if (RS)
-          ++RS->DrainedConns;
-        failConnection();
-        return false;
-      }
-      if (!FlushRetryArmed) {
-        FlushRetryArmed = true;
-        SimTime Backoff = SimTime(100)
-                          << (EnobufsStreak < 6 ? EnobufsStreak : 6);
-        std::weak_ptr<EpollSocket> Self =
-            std::static_pointer_cast<EpollSocket>(shared_from_this());
-        EK.submit(Backoff, [Self] {
-          if (auto S = Self.lock()) {
-            S->FlushRetryArmed = false;
-            if (S->Fd >= 0 && S->pendingOutBytes() > 0)
-              S->flushOut();
-          }
-        });
-      }
-      updateInterest();
-      return true;
-    }
-    if (RS)
-      ++RS->DrainedConns;
-    failConnection();
-    return false;
-  }
-  Out.clear();
-  OutOff = 0;
-  updateInterest();
-  if (EndAfterFlush) {
-    EndAfterFlush = false;
-    ::shutdown(Fd, SHUT_WR);
-    EK.noteSyscalls(1);
-    if (SawEof)
-      teardown(/*Reset=*/false);
-  }
-  return true;
-}
-
-void EpollSocket::updateInterest() {
-  if (Fd < 0)
-    return;
-  uint32_t Want = (SawEof ? 0u : static_cast<uint32_t>(EPOLLIN)) |
-                  (OutOff < Out.size() ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-  if (Want == Interest)
-    return;
-  if (Want == 0) {
-    EK.unwatchFd(Fd);
-  } else if (Interest == 0) {
-    std::weak_ptr<EpollSocket> Self =
-        std::static_pointer_cast<EpollSocket>(shared_from_this());
-    if (!EK.watchFd(Fd, Want, [Self](uint32_t Events) {
-          if (auto S = Self.lock())
-            S->onEvents(Events);
-        }))
-      return;
-  } else {
-    EK.modifyFd(Fd, Want);
-  }
-  Interest = Want;
-}
-
-void EpollSocket::teardown(bool Reset) {
-  if (Fd < 0)
-    return;
-  if (Reset) {
-    // Abortive close: RST the peer, like sim destroy() closing both ends.
-    linger L{1, 0};
-    setsockopt(Fd, SOL_SOCKET, SO_LINGER, &L, sizeof(L));
-    EK.noteSyscalls(1);
-  }
-  EK.unwatchFd(Fd);
-  ::close(Fd);
-  EK.noteSyscalls(1);
-  Fd = -1;
-  Interest = 0;
-  Out.clear();
-  OutOff = 0;
-}
-
-void EpollSocket::failConnection() {
-  bool WasDestroyed = Destroyed;
-  teardown(false);
-  if (WasDestroyed)
-    return;
-  // Async like the sim's latency-delayed close delivery: the tick that
-  // noticed the failure finishes before the close callback runs.
-  std::weak_ptr<EpollSocket> Self =
-      std::static_pointer_cast<EpollSocket>(shared_from_this());
-  EK.submit(0, [Self] {
-    if (auto S = Self.lock())
-      S->deliverClose();
-  });
-}
-
-//===----------------------------------------------------------------------===//
-// EpollNetwork
-//===----------------------------------------------------------------------===//
-
 namespace {
 
-int makeNonBlockingSocket() {
-  return ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-}
+/// How long an EMFILE/ENFILE accept failure pauses the listener.
+constexpr SimTime AcceptPauseUs = 5000;
 
-sockaddr_in loopbackAddr(int Port) {
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(static_cast<uint16_t>(Port));
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return Addr;
-}
+/// A socket whose I/O is armed through a level-triggered epoll interest
+/// mask; readiness runs the shared inline receive/send loops.
+class EpollSocket final : public RealSocket {
+public:
+  EpollSocket(EpollKernel &EK, int Fd, std::unique_ptr<WireCodec> Codec)
+      : RealSocket(EK, Fd, std::move(Codec)), EK(EK) {}
+  ~EpollSocket() override { teardown(/*Reset=*/false); }
+
+private:
+  /// EPOLLIN until EOF, EPOLLOUT while the out buffer has bytes. A mask of
+  /// zero unregisters the fd entirely — a FIN-ed fd is level-triggered
+  /// readable forever, so keeping EPOLLIN after EOF would spin the loop.
+  void rearm() override {
+    if (Fd < 0)
+      return;
+    uint32_t Want =
+        (SawEof ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+        (pendingOutBytes() ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+    if (Want == Interest)
+      return;
+    if (Want == 0) {
+      EK.unwatchFd(Fd);
+    } else if (Interest == 0) {
+      std::weak_ptr<RealSocket> Self = self();
+      if (!EK.watchFd(Fd, Want, [Self](uint32_t Events) {
+            if (auto S = Self.lock())
+              static_cast<EpollSocket &>(*S).onEvents(Events);
+          }))
+        return;
+    } else {
+      EK.modifyFd(Fd, Want);
+    }
+    Interest = Want;
+  }
+
+  ssize_t recvInline(char *Buf, size_t Len) override {
+    ssize_t N = ::recv(Fd, Buf, Len, 0);
+    RK.noteSyscalls(1);
+    return N < 0 ? -errno : N;
+  }
+
+  /// Completion is level-triggered writability, observed through a
+  /// connect-only watch that holds \p Done (and its strong pin) until the
+  /// socket switches to its normal data-driven interest.
+  bool startConnect(const sockaddr_in &Addr,
+                    std::function<void(bool)> Done) override {
+    int Rc = ::connect(Fd, reinterpret_cast<const sockaddr *>(&Addr),
+                       sizeof(Addr));
+    RK.noteSyscalls(1);
+    if (Rc != 0 && errno != EINPROGRESS)
+      return false;
+    return EK.watchFd(Fd, EPOLLOUT, [this, Done = std::move(Done)](uint32_t Events) {
+      int Err = 0;
+      socklen_t Len = sizeof(Err);
+      getsockopt(Fd, SOL_SOCKET, SO_ERROR, &Err, &Len);
+      RK.noteSyscalls(1);
+      // Safe while executing: the kernel's dispatch shared_ptr keeps this
+      // closure's watch alive for the duration of the call.
+      EK.unwatchFd(Fd);
+      Done(Err == 0 && !(Events & (EPOLLERR | EPOLLHUP)));
+    });
+  }
+
+  void releaseIo() override {
+    EK.unwatchFd(Fd);
+    Interest = 0;
+  }
+
+  void onEvents(uint32_t Events) {
+    if (Fd < 0)
+      return;
+    if ((Events & EPOLLOUT) && !flushOut())
+      return;
+    if (Events & (EPOLLIN | EPOLLHUP | EPOLLERR))
+      receive();
+  }
+
+  EpollKernel &EK;
+  /// Currently registered epoll event mask; 0 when the fd is unwatched.
+  uint32_t Interest = 0;
+};
 
 } // namespace
 
 EpollNetwork::EpollNetwork(EpollKernel &EK, SimTime LatencyUs, WireFormat Wire,
                            int DefaultBacklog)
-    : Network(EK, LatencyUs), EK(EK), Wire(Wire),
-      DefaultBacklog(DefaultBacklog) {}
+    : RealNetwork(EK, LatencyUs, Wire, DefaultBacklog), EK(EK) {}
 
-EpollNetwork::~EpollNetwork() {
-  // Quiet teardown: no close events. The runtime is being destroyed —
-  // delivering events now would run node-layer callbacks into it.
-  for (auto &[Port, L] : Ports) {
-    (void)Port;
-    EK.unwatchFd(L.Fd);
-    ::close(L.Fd);
-  }
-  Ports.clear();
-  for (auto &WeakS : Sockets)
-    if (auto S = WeakS.lock())
-      S->teardown(/*Reset=*/true);
-  Sockets.clear();
+EpollNetwork::~EpollNetwork() { closeAll(); }
+
+std::shared_ptr<RealSocket>
+EpollNetwork::newSocket(int Fd, std::unique_ptr<WireCodec> Codec) {
+  return std::make_shared<EpollSocket>(EK, Fd, std::move(Codec));
 }
 
-bool EpollNetwork::listenWithBacklog(int Port, AcceptHandler OnAccept,
-                                     int Backlog) {
-  if (Ports.count(Port))
-    return false;
-  int Fd = makeNonBlockingSocket();
-  if (Fd < 0)
-    return false;
-  int One = 1;
-  setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-  // SO_REUSEPORT: cluster shards all bind this port; the Linux kernel
-  // accept-balances across the listening fds (one per loop).
-  setsockopt(Fd, SOL_SOCKET, SO_REUSEPORT, &One, sizeof(One));
-  sockaddr_in Addr = loopbackAddr(Port);
-  EK.noteSyscalls(5); // socket + 2x setsockopt + bind + listen
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
-      ::listen(Fd, Backlog > 0 ? Backlog : DefaultBacklog) != 0) {
-    ::close(Fd);
-    return false;
-  }
-  AcceptHandler Handler = std::move(OnAccept);
-  if (!EK.watchFd(Fd, EPOLLIN, [this, Fd, Handler](uint32_t) {
-        onAcceptable(Fd, Handler);
-      })) {
-    ::close(Fd);
-    return false;
-  }
-  Ports.emplace(Port, Listener{Fd, Handler});
-  return true;
+bool EpollNetwork::armListener(int Port, Listener &L) {
+  return EK.watchFd(L.Fd, EPOLLIN, [this, Port](uint32_t) {
+    acceptReady(Port);
+  });
 }
 
-void EpollNetwork::onAcceptable(int ListenFd, const AcceptHandler &OnAccept) {
+void EpollNetwork::disarmListener(Listener &L) { EK.unwatchFd(L.Fd); }
+
+void EpollNetwork::acceptReady(int Port) {
   int EintrSpins = 0;
   for (;;) {
+    // Looked up per connection: an accept handler may close the port.
+    auto It = Ports.find(Port);
+    if (It == Ports.end())
+      return;
+    int ListenFd = It->second.Fd;
     int Fd;
     if (Faults && Faults->shouldInject(FaultKind::Emfile)) {
       Fd = -1;
       errno = EMFILE;
     } else {
-      Fd = ::accept4(ListenFd, nullptr, nullptr,
-                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-      EK.noteSyscalls(1);
+      Fd = ::accept4(ListenFd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      RK.noteSyscalls(1);
     }
-    if (Fd < 0) {
-      if (errno == EINTR) {
-        // Retry: connections are queued in the backlog; the old
-        // return-on-EINTR deferred them a full sweep.
-        ++RS->EintrRetries;
-        if (++EintrSpins > 64)
-          return;
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        return;
-      if (errno == ECONNABORTED)
-        continue; // peer gave up while queued; the next one may be fine
-      if (errno == EMFILE || errno == ENFILE) {
-        pauseAccept(ListenFd);
-        return;
-      }
-      return;
+    if (Fd >= 0) {
+      accepted(Port, Fd);
+      continue;
     }
-    int One = 1;
-    setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    EK.noteSyscalls(1);
-    ++Accepted;
-    auto Sock = adopt(Fd, /*ServerRole=*/true);
-    if (OnAccept)
-      OnAccept(Sock);
+    if (errno == EINTR) {
+      // Retry: connections are queued in the backlog; returning would
+      // defer them a full sweep.
+      ++RS->EintrRetries;
+      if (++EintrSpins > MaxEintrSpins)
+        return;
+      continue;
+    }
+    if (errno == ECONNABORTED)
+      continue; // peer gave up while queued; the next one may be fine
+    if (errno == EMFILE || errno == ENFILE)
+      pauseAccept(Port, ListenFd);
+    return; // EAGAIN: drained
   }
 }
 
-void EpollNetwork::pauseAccept(int ListenFd) {
-  auto It = Ports.begin();
-  for (; It != Ports.end(); ++It)
-    if (It->second.Fd == ListenFd)
-      break;
-  if (It == Ports.end() || It->second.Paused)
-    return;
-  It->second.Paused = true;
+void EpollNetwork::pauseAccept(int Port, int ListenFd) {
   ++RS->AcceptPauses;
   EK.unwatchFd(ListenFd);
-  EK.submit(AcceptPauseUs, [this, ListenFd] { resumeAccept(ListenFd); });
-}
-
-void EpollNetwork::resumeAccept(int ListenFd) {
-  auto It = Ports.begin();
-  for (; It != Ports.end(); ++It)
-    if (It->second.Fd == ListenFd)
-      break;
-  if (It == Ports.end() || !It->second.Paused)
-    return; // port was closed (or re-armed) while the pause timer ran
-  It->second.Paused = false;
-  AcceptHandler Handler = It->second.OnAccept;
-  EK.watchFd(ListenFd, EPOLLIN, [this, ListenFd, Handler](uint32_t) {
-    onAcceptable(ListenFd, Handler);
+  EK.submit(AcceptPauseUs, [this, Port, ListenFd] {
+    // Re-arm only the listener that was paused: the port may have been
+    // closed (or re-opened on a new fd) while the pause timer ran.
+    auto It = Ports.find(Port);
+    if (It != Ports.end() && It->second.Fd == ListenFd)
+      armListener(Port, It->second);
   });
-}
-
-std::shared_ptr<EpollSocket> EpollNetwork::adopt(int Fd, bool ServerRole) {
-  std::shared_ptr<EpollSocket> Sock(
-      new EpollSocket(EK, Fd, makeWireCodec(Wire, ServerRole)));
-  Sock->Faults = Faults;
-  Sock->RS = RS;
-  Sock->arm();
-  // Compact expired entries so long-serving processes stay bounded.
-  size_t W = 0;
-  for (size_t I = 0; I != Sockets.size(); ++I)
-    if (!Sockets[I].expired())
-      Sockets[W++] = std::move(Sockets[I]);
-  Sockets.resize(W);
-  Sockets.push_back(Sock);
-  return Sock;
-}
-
-void EpollNetwork::closePort(int Port) {
-  auto It = Ports.find(Port);
-  if (It == Ports.end())
-    return;
-  EK.unwatchFd(It->second.Fd);
-  ::close(It->second.Fd);
-  Ports.erase(It);
-}
-
-bool EpollNetwork::isListening(int Port) const {
-  return Ports.count(Port) != 0;
-}
-
-bool EpollNetwork::connect(int Port, ConnectHandler OnConnect) {
-  int Fd = makeNonBlockingSocket();
-  if (Fd < 0)
-    return false;
-  int One = 1;
-  setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-  sockaddr_in Addr = loopbackAddr(Port);
-  EK.noteSyscalls(3); // socket + setsockopt + connect
-  int Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
-  if (Rc != 0 && errno != EINPROGRESS) {
-    ::close(Fd);
-    return false;
-  }
-  auto Sock = adopt(Fd, /*ServerRole=*/false);
-  // Completion is level-triggered writability. Replace the normal data
-  // watch with a connect-completion watch that pins the socket strongly
-  // (nothing else holds it until OnConnect hands it to the caller); the
-  // pin is released when the watch is replaced or torn down.
-  std::shared_ptr<EpollSocket> Pin = Sock;
-  ConnectHandler Done = std::move(OnConnect);
-  EK.unwatchFd(Fd);
-  Pin->Interest = 0;
-  EK.watchFd(Fd, EPOLLOUT, [Pin, Done](uint32_t Events) {
-    EpollSocket *S = Pin.get();
-    if (S->Fd < 0)
-      return;
-    int Err = 0;
-    socklen_t Len = sizeof(Err);
-    getsockopt(S->Fd, SOL_SOCKET, SO_ERROR, &Err, &Len);
-    S->EK.noteSyscalls(1);
-    if (Err != 0 || (Events & (EPOLLERR | EPOLLHUP))) {
-      // Refused: the op vanishes and the socket delivers close — real
-      // backends cannot report refusal synchronously like the sim does.
-      S->failConnection();
-      return;
-    }
-    // Established: swap to the normal data-driven (weak) handler. Safe
-    // while executing: the kernel's dispatch shared_ptr keeps this
-    // closure's Watch alive for the duration of the call.
-    S->EK.unwatchFd(S->Fd);
-    S->arm();
-    if (Done)
-      Done(Pin);
-  });
-  return true;
-}
-
-void EpollNetwork::teardownAll() {
-  for (auto &[Port, L] : Ports) {
-    (void)Port;
-    EK.unwatchFd(L.Fd);
-    ::close(L.Fd);
-  }
-  Ports.clear();
-  for (auto &WeakS : Sockets)
-    if (auto S = WeakS.lock())
-      if (!S->Destroyed && S->Fd >= 0) {
-        S->teardown(/*Reset=*/true);
-        S->deliverClose();
-      }
-  Sockets.clear();
 }
 
 #endif // __linux__

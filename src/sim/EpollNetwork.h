@@ -1,30 +1,17 @@
-//===- EpollNetwork.h - Real TCP sockets behind the sim interface -*- C++ -*-===//
+//===- EpollNetwork.h - Real TCP sockets over epoll readiness ---*- C++ -*-===//
 //
 // Part of AsyncG-C++. MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The real-traffic network backend: 127.0.0.1 listeners and non-blocking
-/// TCP sockets registered with an EpollKernel, behind the same
-/// listen/connect/Socket surface the simulated network exposes. Each
-/// socket runs a WireCodec translating between the byte stream and the
-/// discrete protocol messages the node layer exchanges, so node::Net,
-/// node::Http, the instrumentation, and the Async Graph are backend-blind.
-///
-/// Listeners bind with SO_REUSEADDR + SO_REUSEPORT: in cluster mode every
-/// shard binds the same port and the Linux kernel balances accepts across
-/// the loops — the real mechanism the simulated ClusterKernel's
-/// round-robin shardForClient models.
-///
-/// Event mapping (chosen to match what the simulated network delivers on
-/// the same logical workload):
-///  - arriving bytes -> completed codec messages -> data events;
-///  - peer FIN (clean close) -> end event, then the fd is quietly released
-///    (the sim network fires no close event for an end()ed pair either);
-///  - peer RST / write error -> close event (sim: destroy() on one side
-///    delivers close to both);
-///  - destroy() -> RST to the peer (SO_LINGER 0), close event locally.
+/// The readiness network backend: the shared RealNetwork state machine
+/// with its I/O armed through an EpollKernel. A socket's only backend state
+/// is its level-triggered interest mask — EPOLLIN until EOF, EPOLLOUT while
+/// the out buffer has bytes — and readiness drives the shared inline
+/// receive/send loops. Listeners are watched for EPOLLIN and drained with
+/// accept4 until EAGAIN; EMFILE/ENFILE pauses the listener instead of
+/// spinning the loop on a full fd table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,135 +21,33 @@
 #ifdef __linux__
 
 #include "sim/EpollKernel.h"
-#include "sim/Fault.h"
-#include "sim/Network.h"
-#include "sim/WireCodec.h"
-
-#include <map>
-#include <memory>
-#include <vector>
+#include "sim/RealNetwork.h"
 
 namespace asyncg {
 namespace sim {
 
-class EpollNetwork;
-
-/// A real non-blocking TCP socket endpoint. Created by EpollNetwork on
-/// accept/connect; never constructed directly.
-class EpollSocket final : public Socket {
-public:
-  ~EpollSocket() override;
-
-  bool write(const std::string &Msg) override;
-  void end() override;
-  void destroy() override;
-
-  /// Bytes currently buffered waiting for the fd to become writable.
-  size_t pendingOutBytes() const { return Out.size() - OutOff; }
-
-private:
-  friend class EpollNetwork;
-
-  EpollSocket(EpollKernel &EK, int Fd, std::unique_ptr<WireCodec> Codec);
-
-  /// Starts watching the fd; must run after shared_from_this is valid.
-  void arm();
-  void onEvents(uint32_t Events);
-  void onReadable();
-  /// Flushes the out buffer; adjusts the EPOLLOUT interest. Returns false
-  /// when the connection failed (a close event was delivered).
-  bool flushOut();
-  /// Re-derives the interest mask: EPOLLIN until EOF, EPOLLOUT while the
-  /// out buffer has bytes. A mask of zero unregisters the fd entirely —
-  /// a FIN-ed fd is level-triggered readable forever, so keeping EPOLLIN
-  /// after EOF would spin the loop.
-  void updateInterest();
-  /// Releases the fd (unwatch + close). \p Reset sends RST to the peer.
-  void teardown(bool Reset);
-  void failConnection();
-
-  EpollKernel &EK;
-  int Fd = -1;
-  std::unique_ptr<WireCodec> Codec;
-  std::string Out;
-  size_t OutOff = 0;
-  /// Currently registered epoll event mask; 0 when the fd is unwatched.
-  uint32_t Interest = 0;
-  bool EndAfterFlush = false;
-  bool SawEof = false;
-  /// Optional fault injection (owned by the runtime; outlives the socket).
-  FaultInjector *Faults = nullptr;
-  /// Recovery counters shared with the owning network.
-  std::shared_ptr<NetRecoveryStats> RS;
-  /// Consecutive ENOBUFS results on this socket; the bounded-backoff retry
-  /// gives up (draining the connection) when the streak exceeds the cap.
-  uint32_t EnobufsStreak = 0;
-  /// True while a backoff-timer flush retry is scheduled.
-  bool FlushRetryArmed = false;
-};
-
 /// The epoll-backed network. One instance per runtime, owned by it.
-class EpollNetwork final : public Network {
+class EpollNetwork final : public RealNetwork {
 public:
-  /// \p DefaultBacklog applies to listen() calls without an explicit
-  /// backlog. LatencyUs is carried only for latency() callers (real
-  /// latency is whatever the wire provides).
   EpollNetwork(EpollKernel &EK, SimTime LatencyUs, WireFormat Wire,
                int DefaultBacklog = 128);
   ~EpollNetwork() override;
 
-  bool listenWithBacklog(int Port, AcceptHandler OnAccept,
-                         int Backlog) override;
-  void closePort(int Port) override;
-  bool isListening(int Port) const override;
-  bool connect(int Port, ConnectHandler OnConnect) override;
-
-  /// Force-releases every live socket (delivering close events) and every
-  /// listener. The cluster harness's shutdown path uses this so a serving
-  /// loop with lingering connections still drains.
-  void teardownAll();
-
-  /// Accepted-connection count (for stats/tests).
-  uint64_t acceptedCount() const { return Accepted; }
-
-  /// Installs a fault injector consulted at the accept/recv/send syscall
-  /// wrap points (and inherited by every socket created afterwards).
-  /// Pass nullptr to disable. The injector must outlive the network.
-  void setFaultInjector(FaultInjector *Inj) { Faults = Inj; }
-
-  /// Hardened-path counters (EINTR retries, accept pauses, backoffs, and
-  /// the faults injected into them).
-  const NetRecoveryStats &recoveryStats() const { return *RS; }
-
-  /// Microseconds an EMFILE/ENFILE accept failure pauses the listener
-  /// before re-arming (tests shrink this).
-  void setAcceptPauseUs(SimTime Us) { AcceptPauseUs = Us; }
-
 private:
-  struct Listener {
-    int Fd = -1;
-    AcceptHandler OnAccept;
-    bool Paused = false;
-  };
+  std::shared_ptr<RealSocket>
+  newSocket(int Fd, std::unique_ptr<WireCodec> Codec) override;
+  bool armListener(int Port, Listener &L) override;
+  void disarmListener(Listener &L) override;
 
-  void onAcceptable(int ListenFd, const AcceptHandler &OnAccept);
-  /// EMFILE/ENFILE: stop accepting (unwatch the listen fd) and schedule a
-  /// resume — the kernel keeps queueing connections in the backlog, and
-  /// accepting again later succeeds once fds free up. Without the pause, a
-  /// level-triggered listener spins the loop at 100% on a full fd table.
-  void pauseAccept(int ListenFd);
-  void resumeAccept(int ListenFd);
-  std::shared_ptr<EpollSocket> adopt(int Fd, bool ServerRole);
+  /// Accepts until EAGAIN (one readiness may cover many queued peers).
+  void acceptReady(int Port);
+  /// EMFILE/ENFILE: stop accepting (unwatch the listen fd) and re-arm
+  /// after a pause — the kernel keeps queueing connections in the backlog,
+  /// and accepting again later succeeds once fds free up. Without the
+  /// pause, a level-triggered listener spins the loop on a full fd table.
+  void pauseAccept(int Port, int ListenFd);
 
   EpollKernel &EK;
-  WireFormat Wire;
-  int DefaultBacklog;
-  std::map<int, Listener> Ports;
-  std::vector<std::weak_ptr<EpollSocket>> Sockets;
-  uint64_t Accepted = 0;
-  FaultInjector *Faults = nullptr;
-  std::shared_ptr<NetRecoveryStats> RS = std::make_shared<NetRecoveryStats>();
-  SimTime AcceptPauseUs = 5000;
 };
 
 } // namespace sim

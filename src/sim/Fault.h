@@ -22,10 +22,13 @@
 ///   backend) injecting completion-deadline jitter and spurious wakeups
 ///   behind the existing virtual surface.
 ///
-/// Syscall-level faults (EINTR/EAGAIN/EMFILE/ENOBUFS/short write/reset)
-/// are injected by the network backends themselves: EpollNetwork consults
-/// an installed FaultInjector at its accept/recv/send wrap points, so the
-/// hardened retry paths above are exercised with real errno semantics.
+/// Syscall-level faults (EINTR/EAGAIN/ENOBUFS/short write/reset) are
+/// injected by the network layer itself: RealSocket, the connection state
+/// machine both real backends share, consults an installed FaultInjector
+/// before every receive and inline send, so the hardened retry paths above
+/// are exercised with real errno semantics on epoll and io_uring alike.
+/// EMFILE is injected at EpollNetwork's accept4 loop only: io_uring's
+/// multishot accept hands over fds the kernel already accepted.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -28,8 +28,9 @@ namespace sim {
 
 class Network;
 
-/// How protocol messages map onto real socket bytes (Epoll backend; the
-/// simulated network delivers messages directly and never consults this).
+/// How protocol messages map onto real socket bytes (the epoll and io_uring
+/// backends; the simulated network delivers messages directly and never
+/// consults this).
 enum class WireFormat {
   /// node::Http's REQ/DAT/END//RES messages become real HTTP/1.1
   /// requests/responses with Content-Length framing and keep-alive.
@@ -42,10 +43,11 @@ enum class WireFormat {
 /// One endpoint of a TCP connection. The base class is the simulated
 /// implementation: data written here is delivered to the peer endpoint's
 /// data handler after the network latency, each write() being one discrete
-/// data event. EpollSocket overrides the output methods to move real bytes
-/// through a non-blocking fd while delivering the same discrete messages
-/// upward through the protected deliver* helpers, so the node layer cannot
-/// tell the backends apart.
+/// data event. RealSocket (RealNetwork.h), the one state machine behind
+/// both the epoll and the io_uring backend, overrides the output methods to
+/// move real bytes through a non-blocking fd while delivering the same
+/// discrete messages upward through the protected deliver* helpers, so the
+/// node layer cannot tell the backends apart.
 class Socket : public std::enable_shared_from_this<Socket> {
 public:
   using DataHandler = std::function<void(const std::string &)>;
@@ -81,9 +83,9 @@ public:
   bool isDestroyed() const { return Destroyed; }
 
 protected:
-  /// Local-side event delivery, shared by both backends. Handlers run in
+  /// Local-side event delivery, shared by every backend. Handlers run in
   /// the caller's context — kernel completions for the sim backend, the
-  /// loop's I/O phase for epoll.
+  /// loop's I/O phase for the real ones.
   void deliverData(const std::string &Bytes);
   void deliverEnd();
   void deliverClose();
@@ -104,7 +106,8 @@ private:
 
 /// The network: a listener table plus connection plumbing. The base class
 /// is the simulated network (loopback socket pairs with virtual latency);
-/// EpollNetwork overrides the virtual surface with real listening sockets.
+/// RealNetwork (shared by the epoll and io_uring backends) overrides the
+/// virtual surface with real listening sockets.
 class Network {
 public:
   /// \p LatencyUs is the one-way delivery latency for connect/data/end.

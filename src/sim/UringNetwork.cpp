@@ -8,440 +8,134 @@
 
 #include "sim/UringNetwork.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cerrno>
-#include <cstring>
 
 using namespace asyncg;
 using namespace asyncg::sim;
 
-//===----------------------------------------------------------------------===//
-// UringSocket
-//===----------------------------------------------------------------------===//
+namespace {
 
-UringSocket::UringSocket(UringKernel &UK, int Fd,
-                         std::unique_ptr<WireCodec> Codec)
-    : UK(UK), Fd(Fd), Codec(std::move(Codec)) {}
+/// A socket whose I/O is staged on the ring: one recv and at most one send
+/// in flight, each re-staged from its completion handler.
+class UringSocket final : public RealSocket {
+public:
+  UringSocket(UringKernel &UK, int Fd, std::unique_ptr<WireCodec> Codec)
+      : RealSocket(UK, Fd, std::move(Codec)), UK(UK) {}
+  ~UringSocket() override { teardown(/*Reset=*/false); }
 
-UringSocket::~UringSocket() {
-  if (Fd >= 0)
-    teardown(/*Reset=*/false);
-}
-
-void UringSocket::armRecv() {
-  if (Fd < 0 || SawEof || RecvToken != 0)
-    return;
-  std::weak_ptr<UringSocket> Self =
-      std::static_pointer_cast<UringSocket>(shared_from_this());
-  RecvToken = UK.stageRecv(Fd, [Self](int Res, const char *Data) {
-    if (auto S = Self.lock())
-      S->onRecv(Res, Data);
-  });
-}
-
-bool UringSocket::write(const std::string &Msg) {
-  if (Ended || Destroyed || Fd < 0)
-    return false;
-  Codec->encode(Msg, Out);
-  pumpSend();
-  return true;
-}
-
-void UringSocket::end() {
-  if (Ended || Destroyed || Fd < 0)
-    return;
-  Ended = true;
-  if (pendingOutBytes() > 0) {
-    EndAfterFlush = true;
-    return;
+private:
+  void rearm() override {
+    if (Fd < 0 || ConnectToken != 0)
+      return;
+    if (!SawEof && RecvToken == 0) {
+      std::weak_ptr<RealSocket> Self = self();
+      RecvToken = UK.stageRecv(Fd, [Self](int Res, const char *Data) {
+        if (auto S = Self.lock())
+          static_cast<UringSocket &>(*S).onRecv(Res, Data);
+      });
+    }
+    if (InFlight == 0 && OutOff < Out.size()) {
+      // Hand the unsent remainder to the kernel-owned entry; writes made
+      // meanwhile accumulate in a fresh Out behind it.
+      InFlight = Out.size() - OutOff;
+      stageSend(std::move(Out), OutOff);
+      Out.clear();
+      OutOff = 0;
+    }
   }
-  ::shutdown(Fd, SHUT_WR);
-  UK.noteSyscalls(1);
-  if (SawEof)
-    teardown(/*Reset=*/false);
-}
 
-void UringSocket::destroy() {
-  if (Destroyed)
-    return;
-  Destroyed = true;
-  teardown(/*Reset=*/true);
-  // Deliver close asynchronously, like the sim's latency-delayed delivery:
-  // the caller's tick finishes before the close callback is scheduled.
-  std::weak_ptr<UringSocket> Self =
-      std::static_pointer_cast<UringSocket>(shared_from_this());
-  UK.submit(0, [Self] {
-    if (auto S = Self.lock())
-      S->deliverClose();
-  });
-}
+  ssize_t recvInline(char *, size_t) override { return -EAGAIN; }
 
-void UringSocket::onRecv(int Res, const char *Data) {
-  RecvToken = 0;
-  if (Fd < 0 || Destroyed)
-    return;
-  if (Res > 0) {
-    std::vector<std::string> Msgs;
-    if (!Codec->ingest(Data, static_cast<size_t>(Res), Msgs)) {
+  bool startConnect(const sockaddr_in &Addr,
+                    std::function<void(bool)> Done) override {
+    ConnectToken = UK.stageConnect(Fd, Addr, [this, Done = std::move(Done)](int Res) {
+      ConnectToken = 0;
+      Done(Res == 0);
+    });
+    return true;
+  }
+
+  void releaseIo() override {
+    for (uint64_t *Token : {&RecvToken, &SendToken, &ConnectToken}) {
+      if (*Token != 0)
+        UK.cancelIo(*Token);
+      *Token = 0;
+    }
+  }
+
+  void onRecv(int Res, const char *Data) {
+    RecvToken = 0;
+    if (Fd < 0)
+      return;
+    int EintrSpins = 0;
+    if (onReceived(Res, Data, EintrSpins))
+      receive();
+  }
+
+  void stageSend(std::string Chunk, size_t Off) {
+    ChunkOff = Off;
+    std::weak_ptr<RealSocket> Self = self();
+    SendToken = UK.stageSend(Fd, std::move(Chunk), Off,
+                             [Self](int Res, std::string C) {
+                               if (auto S = Self.lock())
+                                 static_cast<UringSocket &>(*S).onSend(
+                                     Res, std::move(C));
+                             });
+  }
+
+  void onSend(int Res, std::string Chunk) {
+    SendToken = 0;
+    if (Fd < 0)
+      return;
+    if (Res == -EINTR || Res == -EAGAIN) {
+      // Ownership came back: retry the same chunk from the same offset.
+      stageSend(std::move(Chunk), ChunkOff);
+      return;
+    }
+    if (Res <= 0) {
+      ++RS->DrainedConns;
       failConnection();
       return;
     }
-    // Deliver each message as its own kernel completion: the simulated
-    // network delivers one message per latency-delayed op, so per-message
-    // submits keep the tick structure (and with it detector behavior and
-    // the Async Graph shape) identical across backends.
-    std::weak_ptr<UringSocket> Self =
-        std::static_pointer_cast<UringSocket>(shared_from_this());
-    for (std::string &M : Msgs)
-      UK.submit(0, [Self, Msg = std::move(M)] {
-        if (auto S = Self.lock())
-          S->deliverData(Msg);
-      });
-    armRecv();
-    return;
-  }
-  if (Res == 0) {
-    // Peer FIN. Deliver end once (after any queued data messages); our
-    // outgoing direction stays open — the peer can still receive writes —
-    // and the fd is released once our own end() has flushed. No close
-    // event for this path (sim parity). No recv re-arm: EOF is final.
-    if (!SawEof) {
-      SawEof = true;
-      std::weak_ptr<UringSocket> Self =
-          std::static_pointer_cast<UringSocket>(shared_from_this());
-      UK.submit(0, [Self] {
-        if (auto S = Self.lock())
-          S->deliverEnd();
-      });
-    }
-    if (Ended && Fd >= 0 && pendingOutBytes() == 0)
-      teardown(/*Reset=*/false);
-    return;
-  }
-  if (Res == -ECANCELED || Res == -EINTR || Res == -EAGAIN) {
-    if (Res != -ECANCELED)
-      armRecv(); // spurious short-circuit: retry
-    return;
-  }
-  // ECONNRESET and friends: the sim analogue is the peer destroying the
-  // pair — a close event.
-  failConnection();
-}
-
-void UringSocket::pumpSend() {
-  if (SendToken != 0 || Out.empty() || Fd < 0)
-    return;
-  std::string Chunk = std::move(Out);
-  Out.clear();
-  ChunkOff = 0;
-  InFlightOut = Chunk.size();
-  // Optimistic inline send first, mirroring the epoll backend's
-  // flushOut(): the common case completes without a ring round-trip, and
-  // bytes written before a destroy() in the same tick are actually on the
-  // wire — the simulated network also delivers writes that precede a
-  // reset. Only an EAGAIN remainder rides the ring as a send SQE.
-  while (ChunkOff < Chunk.size()) {
-    ssize_t N = ::send(Fd, Chunk.data() + ChunkOff, Chunk.size() - ChunkOff,
-                       MSG_NOSIGNAL);
-    UK.noteSyscalls(1);
-    if (N > 0) {
-      ChunkOff += static_cast<size_t>(N);
-      InFlightOut = Chunk.size() - ChunkOff;
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-      break;
-    failConnection();
-    return;
-  }
-  if (ChunkOff < Chunk.size()) {
-    std::weak_ptr<UringSocket> Self =
-        std::static_pointer_cast<UringSocket>(shared_from_this());
-    SendToken = UK.stageSend(Fd, std::move(Chunk), ChunkOff,
-                             [Self](int Res, std::string C) {
-                               if (auto S = Self.lock())
-                                 S->onSend(Res, std::move(C));
-                             });
-    return;
-  }
-  // Flushed inline: the same completion duties onSend() performs after the
-  // chunk drains (a queued shutdown from end() during the flush).
-  ChunkOff = 0;
-  InFlightOut = 0;
-  if (EndAfterFlush) {
-    EndAfterFlush = false;
-    ::shutdown(Fd, SHUT_WR);
-    UK.noteSyscalls(1);
-    if (SawEof)
-      teardown(/*Reset=*/false);
-  }
-}
-
-void UringSocket::onSend(int Res, std::string Chunk) {
-  SendToken = 0;
-  if (Fd < 0 || Destroyed)
-    return;
-  if (Res <= 0) {
-    if (Res == -EINTR || Res == -EAGAIN) {
-      // Retry the same chunk from the same offset (ownership came back).
-      std::weak_ptr<UringSocket> Self =
-          std::static_pointer_cast<UringSocket>(shared_from_this());
-      SendToken = UK.stageSend(Fd, std::move(Chunk), ChunkOff,
-                               [Self](int R, std::string C) {
-                                 if (auto S = Self.lock())
-                                   S->onSend(R, std::move(C));
-                               });
+    ChunkOff += static_cast<size_t>(Res);
+    InFlight = Chunk.size() - ChunkOff;
+    if (InFlight != 0) {
+      // Partial send: re-stage the remainder by offset, no copy.
+      stageSend(std::move(Chunk), ChunkOff);
       return;
     }
-    if (Res == -ECANCELED)
-      return;
-    failConnection();
-    return;
+    flushOut(); // whatever accumulated behind the chunk
   }
-  ChunkOff += static_cast<size_t>(Res);
-  InFlightOut = Chunk.size() - ChunkOff;
-  if (ChunkOff < Chunk.size()) {
-    // Partial send: re-stage the remainder by offset — the chunk moves
-    // back into the kernel's entry, no copy.
-    std::weak_ptr<UringSocket> Self =
-        std::static_pointer_cast<UringSocket>(shared_from_this());
-    SendToken = UK.stageSend(Fd, std::move(Chunk), ChunkOff,
-                             [Self](int R, std::string C) {
-                               if (auto S = Self.lock())
-                                 S->onSend(R, std::move(C));
-                             });
-    return;
-  }
-  ChunkOff = 0;
-  InFlightOut = 0;
-  if (!Out.empty()) {
-    pumpSend();
-    return;
-  }
-  if (EndAfterFlush) {
-    EndAfterFlush = false;
-    ::shutdown(Fd, SHUT_WR);
-    UK.noteSyscalls(1);
-    if (SawEof)
-      teardown(/*Reset=*/false);
-  }
-}
 
-void UringSocket::teardown(bool Reset) {
-  if (Fd < 0)
-    return;
-  // Cancel in-flight ops first: handlers never fire, and the kernel-owned
-  // entries (with any buffers io_uring may still write) outlive the fd.
-  if (RecvToken != 0) {
-    UK.cancelIo(RecvToken);
-    RecvToken = 0;
-  }
-  if (SendToken != 0) {
-    UK.cancelIo(SendToken);
-    SendToken = 0;
-  }
-  if (ConnectToken != 0) {
-    UK.cancelIo(ConnectToken);
-    ConnectToken = 0;
-  }
-  if (Reset) {
-    // Abortive close: RST the peer, like sim destroy() closing both ends.
-    linger L{1, 0};
-    setsockopt(Fd, SOL_SOCKET, SO_LINGER, &L, sizeof(L));
-    UK.noteSyscalls(1);
-  }
-  ::close(Fd);
-  UK.noteSyscalls(1);
-  Fd = -1;
-  Out.clear();
-  InFlightOut = 0;
-  ChunkOff = 0;
-  EndAfterFlush = false;
-}
-
-void UringSocket::failConnection() {
-  bool WasDestroyed = Destroyed;
-  teardown(false);
-  if (WasDestroyed)
-    return;
-  // Async like the sim's latency-delayed close delivery: the tick that
-  // noticed the failure finishes before the close callback runs.
-  std::weak_ptr<UringSocket> Self =
-      std::static_pointer_cast<UringSocket>(shared_from_this());
-  UK.submit(0, [Self] {
-    if (auto S = Self.lock())
-      S->deliverClose();
-  });
-}
-
-//===----------------------------------------------------------------------===//
-// UringNetwork
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-int makeNonBlockingSocket() {
-  return ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-}
-
-sockaddr_in loopbackAddr(int Port) {
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(static_cast<uint16_t>(Port));
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return Addr;
-}
+  UringKernel &UK;
+  uint64_t RecvToken = 0;
+  uint64_t SendToken = 0;
+  uint64_t ConnectToken = 0;
+  /// Send progress within the chunk the kernel entry owns.
+  size_t ChunkOff = 0;
+};
 
 } // namespace
 
 UringNetwork::UringNetwork(UringKernel &UK, SimTime LatencyUs, WireFormat Wire,
                            int DefaultBacklog)
-    : Network(UK, LatencyUs), UK(UK), Wire(Wire),
-      DefaultBacklog(DefaultBacklog) {}
+    : RealNetwork(UK, LatencyUs, Wire, DefaultBacklog), UK(UK) {}
 
-UringNetwork::~UringNetwork() {
-  // Quiet teardown: no close events. The runtime is being destroyed —
-  // delivering events now would run node-layer callbacks into it.
-  for (auto &[Port, L] : Ports) {
-    (void)Port;
-    UK.cancelIo(L.AcceptToken);
-    ::close(L.Fd);
-    UK.noteSyscalls(1);
-  }
-  Ports.clear();
-  for (auto &WeakS : Sockets)
-    if (auto S = WeakS.lock())
-      S->teardown(/*Reset=*/true);
-  Sockets.clear();
+UringNetwork::~UringNetwork() { closeAll(); }
+
+std::shared_ptr<RealSocket>
+UringNetwork::newSocket(int Fd, std::unique_ptr<WireCodec> Codec) {
+  return std::make_shared<UringSocket>(UK, Fd, std::move(Codec));
 }
 
-bool UringNetwork::listenWithBacklog(int Port, AcceptHandler OnAccept,
-                                     int Backlog) {
-  if (Ports.count(Port))
-    return false;
-  int Fd = makeNonBlockingSocket();
-  if (Fd < 0)
-    return false;
-  int One = 1;
-  setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-  // SO_REUSEPORT: cluster shards all bind this port; the Linux kernel
-  // accept-balances across the listening fds (one per loop).
-  setsockopt(Fd, SOL_SOCKET, SO_REUSEPORT, &One, sizeof(One));
-  sockaddr_in Addr = loopbackAddr(Port);
-  UK.noteSyscalls(5); // socket + 2x setsockopt + bind + listen
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
-      ::listen(Fd, Backlog > 0 ? Backlog : DefaultBacklog) != 0) {
-    ::close(Fd);
-    return false;
-  }
+bool UringNetwork::armListener(int Port, Listener &L) {
   // One multishot accept SQE serves the listener's whole lifetime (until
   // cancelled); each incoming connection is one CQE, no accept4 loop.
-  uint64_t Token =
-      UK.stageAccept(Fd, [this, Port](int NewFd) { onAccepted(Port, NewFd); });
-  Ports.emplace(Port, Listener{Fd, Token, std::move(OnAccept)});
+  L.IoToken =
+      UK.stageAccept(L.Fd, [this, Port](int NewFd) { accepted(Port, NewFd); });
   return true;
 }
 
-void UringNetwork::onAccepted(int Port, int NewFd) {
-  auto It = Ports.find(Port);
-  if (It == Ports.end()) {
-    // Completion raced a closePort: the connection has no owner.
-    ::close(NewFd);
-    UK.noteSyscalls(1);
-    return;
-  }
-  int One = 1;
-  setsockopt(NewFd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-  UK.noteSyscalls(1);
-  ++Accepted;
-  auto Sock = adopt(NewFd, /*ServerRole=*/true, /*Arm=*/true);
-  if (It->second.OnAccept)
-    It->second.OnAccept(Sock);
-}
-
-std::shared_ptr<UringSocket> UringNetwork::adopt(int Fd, bool ServerRole,
-                                                bool Arm) {
-  std::shared_ptr<UringSocket> Sock(
-      new UringSocket(UK, Fd, makeWireCodec(Wire, ServerRole)));
-  if (Arm)
-    Sock->armRecv();
-  // Compact expired entries so long-serving processes stay bounded.
-  size_t W = 0;
-  for (size_t I = 0; I != Sockets.size(); ++I)
-    if (!Sockets[I].expired())
-      Sockets[W++] = std::move(Sockets[I]);
-  Sockets.resize(W);
-  Sockets.push_back(Sock);
-  return Sock;
-}
-
-void UringNetwork::closePort(int Port) {
-  auto It = Ports.find(Port);
-  if (It == Ports.end())
-    return;
-  UK.cancelIo(It->second.AcceptToken);
-  ::close(It->second.Fd);
-  UK.noteSyscalls(1);
-  Ports.erase(It);
-}
-
-bool UringNetwork::isListening(int Port) const {
-  return Ports.count(Port) != 0;
-}
-
-bool UringNetwork::connect(int Port, ConnectHandler OnConnect) {
-  int Fd = makeNonBlockingSocket();
-  if (Fd < 0)
-    return false;
-  int One = 1;
-  setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-  UK.noteSyscalls(2); // socket + setsockopt (connect is an SQE)
-  auto Sock = adopt(Fd, /*ServerRole=*/false, /*Arm=*/false);
-  // The connect handler pins the socket strongly (nothing else holds it
-  // until OnConnect hands it to the caller); cancelIo drops the handler —
-  // and with it the pin — if the socket is torn down first.
-  std::shared_ptr<UringSocket> Pin = Sock;
-  ConnectHandler Done = std::move(OnConnect);
-  Sock->ConnectToken =
-      UK.stageConnect(Fd, loopbackAddr(Port), [Pin, Done](int Res) {
-        Pin->ConnectToken = 0;
-        if (Pin->Fd < 0)
-          return;
-        if (Res != 0) {
-          // Refused: the op vanishes and the socket delivers close — real
-          // backends cannot report refusal synchronously like the sim.
-          Pin->failConnection();
-          return;
-        }
-        Pin->armRecv();
-        if (Done)
-          Done(Pin);
-      });
-  return true;
-}
-
-void UringNetwork::teardownAll() {
-  for (auto &[Port, L] : Ports) {
-    (void)Port;
-    UK.cancelIo(L.AcceptToken);
-    ::close(L.Fd);
-    UK.noteSyscalls(1);
-  }
-  Ports.clear();
-  for (auto &WeakS : Sockets)
-    if (auto S = WeakS.lock())
-      if (!S->Destroyed && S->Fd >= 0) {
-        S->teardown(/*Reset=*/true);
-        S->deliverClose();
-      }
-  Sockets.clear();
-}
+void UringNetwork::disarmListener(Listener &L) { UK.cancelIo(L.IoToken); }
 
 #endif // __linux__

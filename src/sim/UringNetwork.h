@@ -5,17 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The io_uring network backend: the same 127.0.0.1 listeners,
-/// SO_REUSEPORT cluster sharding, WireCodec framing, and event mapping as
-/// EpollNetwork (see its header for the mapping table) — but every socket
-/// operation is a staged SQE on the UringKernel instead of a readiness
-/// watch plus a direct syscall. Listeners hold one multishot-accept SQE
-/// that produces a completion per connection; sockets keep at most one
-/// recv and one send in flight, re-staged from their completion handlers,
-/// which preserves write ordering and the per-message delivery structure
-/// (each decoded message is its own kernel completion, exactly like the
-/// sim and epoll backends — so detector behavior and the Async Graph shape
-/// stay backend-identical).
+/// The completion network backend: the shared RealNetwork state machine
+/// with its I/O armed as staged SQEs on a UringKernel instead of readiness
+/// watches. Listeners hold one multishot-accept SQE that produces a
+/// completion per connection; sockets keep at most one recv and one send
+/// in flight, re-staged from their completion handlers. The send SQE only
+/// carries what the shared inline ::send could not move: the remainder is
+/// handed to the kernel-owned entry (buffer-stable across cancellation)
+/// and comes back through the completion, re-staged by offset when
+/// partial.
 ///
 /// Teardown: sockets cancel their in-flight operations through
 /// UringKernel::cancelIo, which guarantees the handlers never fire while
@@ -29,105 +27,28 @@
 
 #ifdef __linux__
 
-#include "sim/Network.h"
+#include "sim/RealNetwork.h"
 #include "sim/UringKernel.h"
-#include "sim/WireCodec.h"
-
-#include <map>
-#include <memory>
-#include <vector>
 
 namespace asyncg {
 namespace sim {
 
-class UringNetwork;
-
-/// A real TCP socket endpoint driven by io_uring completions. Created by
-/// UringNetwork on accept/connect; never constructed directly.
-class UringSocket final : public Socket {
-public:
-  ~UringSocket() override;
-
-  bool write(const std::string &Msg) override;
-  void end() override;
-  void destroy() override;
-
-  /// Bytes accepted by write() but not yet confirmed sent (accumulating
-  /// buffer plus the unacknowledged part of the in-flight chunk).
-  size_t pendingOutBytes() const { return Out.size() + InFlightOut; }
-
-private:
-  friend class UringNetwork;
-
-  UringSocket(UringKernel &UK, int Fd, std::unique_ptr<WireCodec> Codec);
-
-  /// Stages the (single) outstanding recv; must run after shared_from_this
-  /// is valid.
-  void armRecv();
-  void onRecv(int Res, const char *Data);
-  /// Moves the accumulating Out buffer into an in-flight send chunk if no
-  /// send is outstanding.
-  void pumpSend();
-  void onSend(int Res, std::string Chunk);
-  /// Cancels in-flight ops and releases the fd. \p Reset sends RST.
-  void teardown(bool Reset);
-  void failConnection();
-
-  UringKernel &UK;
-  int Fd = -1;
-  std::unique_ptr<WireCodec> Codec;
-  /// Bytes written but not yet handed to the kernel (one send in flight at
-  /// a time preserves ordering; new writes accumulate here meanwhile).
-  std::string Out;
-  /// Unsent bytes of the in-flight chunk (the chunk itself is owned by the
-  /// kernel's PendingIo entry until its CQE).
-  size_t InFlightOut = 0;
-  size_t ChunkOff = 0;
-  uint64_t RecvToken = 0;
-  uint64_t SendToken = 0;
-  uint64_t ConnectToken = 0;
-  bool EndAfterFlush = false;
-  bool SawEof = false;
-};
-
 /// The io_uring-backed network. One instance per runtime, owned by it;
-/// must be destroyed before its UringKernel (Runtime's member order
-/// guarantees this) so staged cancellations land in a live ring.
-class UringNetwork final : public Network {
+/// must be destroyed before its UringKernel so staged cancellations land
+/// in a live ring.
+class UringNetwork final : public RealNetwork {
 public:
   UringNetwork(UringKernel &UK, SimTime LatencyUs, WireFormat Wire,
                int DefaultBacklog = 128);
   ~UringNetwork() override;
 
-  bool listenWithBacklog(int Port, AcceptHandler OnAccept,
-                         int Backlog) override;
-  void closePort(int Port) override;
-  bool isListening(int Port) const override;
-  bool connect(int Port, ConnectHandler OnConnect) override;
-
-  /// Force-releases every live socket (delivering close events) and every
-  /// listener — the cluster harness's shutdown path.
-  void teardownAll();
-
-  /// Accepted-connection count (for stats/tests).
-  uint64_t acceptedCount() const { return Accepted; }
-
 private:
-  struct Listener {
-    int Fd = -1;
-    uint64_t AcceptToken = 0;
-    AcceptHandler OnAccept;
-  };
-
-  void onAccepted(int Port, int NewFd);
-  std::shared_ptr<UringSocket> adopt(int Fd, bool ServerRole, bool Arm);
+  std::shared_ptr<RealSocket>
+  newSocket(int Fd, std::unique_ptr<WireCodec> Codec) override;
+  bool armListener(int Port, Listener &L) override;
+  void disarmListener(Listener &L) override;
 
   UringKernel &UK;
-  WireFormat Wire;
-  int DefaultBacklog;
-  std::map<int, Listener> Ports;
-  std::vector<std::weak_ptr<UringSocket>> Sockets;
-  uint64_t Accepted = 0;
 };
 
 } // namespace sim

@@ -20,6 +20,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "ag/Builder.h"
 #include "apps/acmeair/App.h"
 #include "apps/acmeair/Workload.h"
@@ -199,9 +200,9 @@ std::string slurp(const std::string &Path) {
 }
 
 TEST(TraceV3, ShardInfoRoundTripsAndShardZeroStaysV2) {
-  std::string P0 = ::testing::TempDir() + "cluster_s0.agtrace";
-  std::string P0x = ::testing::TempDir() + "cluster_s0x.agtrace";
-  std::string P3 = ::testing::TempDir() + "cluster_s3.agtrace";
+  std::string P0 = testhelpers::testTempPath("cluster_s0.agtrace");
+  std::string P0x = testhelpers::testTempPath("cluster_s0x.agtrace");
+  std::string P3 = testhelpers::testTempPath("cluster_s3.agtrace");
 
   {
     Runtime RT;

@@ -9,7 +9,8 @@
 /// with the probe's reason) any backend the host cannot provide. Covered
 /// per backend: kernel-level timing and the cancellation contract, the
 /// kernel-syscall cost model, wire edge paths (EAGAIN partial writes, peer
-/// reset, backlog overflow, cancellation on teardown), and — the
+/// reset, backlog overflow, cancellation on teardown, fd release when
+/// sockets outlive the runtime), and — the
 /// acceptance gate — AcmeAir served over real loopback TCP with the
 /// warning set and DOT output matching the simulated kernel on the same
 /// scripted workload (which also pins epoll/uring parity by transitivity).
@@ -29,14 +30,14 @@
 #include "detect/Detectors.h"
 #include "jsrt/Runtime.h"
 #include "sim/EpollKernel.h"
-#include "sim/EpollNetwork.h"
+#include "sim/RealNetwork.h"
 #include "sim/UringKernel.h"
-#include "sim/UringNetwork.h"
 #include "viz/Dot.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <thread>
 
 using namespace asyncg;
@@ -78,10 +79,8 @@ std::unique_ptr<sim::RealKernel> makeKernel(sim::KernelBackend B,
   return K;
 }
 
-uint64_t acceptedCount(Runtime &RT, sim::KernelBackend B) {
-  if (B == sim::KernelBackend::Uring)
-    return static_cast<sim::UringNetwork &>(RT.network()).acceptedCount();
-  return static_cast<sim::EpollNetwork &>(RT.network()).acceptedCount();
+uint64_t acceptedCount(Runtime &RT) {
+  return static_cast<sim::RealNetwork &>(RT.network()).acceptedCount();
 }
 
 std::vector<std::string> formatWarnings(const ag::AsyncGraph &G) {
@@ -162,11 +161,13 @@ TEST_P(BackendMatrix, TimersFireInWallClockTime) {
   ASSERT_TRUE(K);
   // Deadlines are relative to the shared clock; sync it past the kernel's
   // construction cost (ring setup is ~1 ms on uring) before measuring.
+  // The wall-clock reference is taken before the sync: the deadlines count
+  // from the synced instant, not from after the submits.
+  auto T0 = std::chrono::steady_clock::now();
   K->syncClock();
   std::vector<int> Order;
   K->submit(5000, [&] { Order.push_back(2); }); // 5 ms
   K->submit(1000, [&] { Order.push_back(1); }); // 1 ms
-  auto T0 = std::chrono::steady_clock::now();
   while (Order.size() < 2) {
     ASSERT_TRUE(K->waitUntil(K->nextDeadline()));
     for (auto &A : K->takeDue())
@@ -332,6 +333,35 @@ TEST_P(BackendMatrix, PartialWritesReassembleLargeMessage) {
   EXPECT_EQ(WireWarnings, SimWarnings);
 }
 
+/// Open file descriptors of this process.
+size_t openFdCount() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/fd"),
+      std::filesystem::directory_iterator()));
+}
+
+// The node layer may keep sockets alive past the runtime. Quiet teardown
+// must still release every fd, including ones adopted before later
+// connections compacted the network's socket registry.
+TEST_P(BackendMatrix, RuntimeTeardownReleasesHeldSockets) {
+  const int Port = portFor(9470);
+  const size_t NConns = 3;
+  std::vector<std::shared_ptr<sim::Socket>> Held;
+  size_t FdsBefore = openFdCount();
+  runScripted(GetParam(), [&](Runtime &R, sim::RealKernel *RK) {
+    auto Hold = [&, RK](std::shared_ptr<sim::Socket> S) {
+      Held.push_back(S);
+      if (Held.size() == 2 * NConns)
+        RK->requestStop();
+    };
+    R.network().listen(Port, Hold);
+    for (size_t I = 0; I != NConns; ++I)
+      EXPECT_TRUE(R.network().connect(Port, Hold));
+  });
+  EXPECT_EQ(Held.size(), 2 * NConns);
+  EXPECT_EQ(openFdCount(), FdsBefore);
+}
+
 // Peer resets (destroy) while the server still owes it data: the server
 // side must observe a close event — the sim analogue of destroy — and the
 // loop must drain without leaking the graph or erroring.
@@ -442,7 +472,7 @@ TEST_P(BackendMatrix, BacklogOverflowEventuallyServesAll) {
   RT.main(Main);
 
   EXPECT_EQ(Echoed, NConns);
-  EXPECT_EQ(acceptedCount(RT, GetParam()), static_cast<uint64_t>(NConns));
+  EXPECT_EQ(acceptedCount(RT), static_cast<uint64_t>(NConns));
   EXPECT_TRUE(RT.uncaughtErrors().empty());
 }
 

@@ -10,8 +10,9 @@
 /// spurious-wake semantics over the simulated kernel, the async pipeline's
 /// graceful-degradation ladder (escalate under pressure, recover when the
 /// ring drains, structure never shed), the builder-thread watchdog, and —
-/// on Linux — an end-to-end AcmeAir run over the epoll backend under an
-/// aggressive fault mix where every request still gets accounted for.
+/// on Linux — an end-to-end AcmeAir run over each wire backend (epoll,
+/// io_uring) under an aggressive fault mix where every request still gets
+/// accounted for.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -354,15 +355,27 @@ TEST(DegradationLadder, WatchdogCountsBuilderStalls) {
 
 #ifdef __linux__
 
-TEST(FaultE2E, EpollClusterSurvivesAggressiveMixAndAccountsEveryRequest) {
-  std::string Why;
-  if (!kernelBackendAvailable(KernelBackend::Epoll, &Why))
-    GTEST_SKIP() << "epoll backend unavailable: " << Why;
+/// The wire reactors under an aggressive fault mix, once per real backend:
+/// both run the same socket state machine, so both must inject, recover,
+/// and account for every request.
+class FaultE2EWire : public ::testing::TestWithParam<KernelBackend> {
+protected:
+  void SetUp() override {
+    std::string Why;
+    if (!kernelBackendAvailable(GetParam(), &Why))
+      GTEST_SKIP() << "backend '" << kernelBackendName(GetParam())
+                   << "' unavailable on this host: " << Why;
+  }
+};
 
+// A 1-loop AcmeAir cluster survives an aggressive fault mix: every request
+// is completed or explicitly abandoned, and the recovery paths ran.
+TEST_P(FaultE2EWire, AccountsEveryRequest) {
   cluster::ClusterConfig Cfg;
   Cfg.Loops = 1;
-  Cfg.Backend = KernelBackend::Epoll;
-  Cfg.Port = 9391;
+  Cfg.Backend = GetParam();
+  // Per-backend port: ctest runs the instantiations concurrently.
+  Cfg.Port = 9391 + static_cast<int>(GetParam());
   Cfg.TotalRequests = 400;
   Cfg.TotalClients = 4;
   Cfg.Mode = ag::PipelineMode::Async;
@@ -380,15 +393,25 @@ TEST(FaultE2E, EpollClusterSurvivesAggressiveMixAndAccountsEveryRequest) {
   // Nothing hung or vanished: every request completed or was explicitly
   // abandoned after its retry budget.
   EXPECT_EQ(R.Wire.Completed + R.Wire.Abandoned, Cfg.TotalRequests);
+  EXPECT_EQ(R.Wire.Issued, R.Wire.Completed + R.Wire.Abandoned);
   EXPECT_GT(R.Wire.Completed, 0u);
   // Faults actually fired and the hardened paths actually recovered.
   EXPECT_GT(R.FaultsInjected, 0u);
   EXPECT_GT(R.FaultDecisions, R.FaultsInjected);
-  EXPECT_GT(R.Net.EintrRetries + R.Net.ShortWrites + R.Net.EnobufsRetries,
-            0u);
   ASSERT_EQ(R.Shards.size(), 1u);
+  const NetRecoveryStats &Net = R.Shards[0].Net;
+  EXPECT_GT(Net.EintrRetries, 0u);
+  EXPECT_GT(Net.ShortWrites, 0u);
+  EXPECT_GT(Net.EnobufsRetries, 0u);
   EXPECT_NE(R.Shards[0].FaultDigest, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, FaultE2EWire,
+    ::testing::Values(KernelBackend::Epoll, KernelBackend::Uring),
+    [](const ::testing::TestParamInfo<KernelBackend> &Info) {
+      return std::string(kernelBackendName(Info.param));
+    });
 
 TEST(FaultE2E, SameSeedReproducesIdenticalFaultSchedule) {
   std::string Why;

@@ -24,6 +24,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "ag/IngestHub.h"
 #include "ag/ShardedGraph.h"
 #include "apps/acmeair/App.h"
@@ -51,7 +52,7 @@ using namespace asyncg::cases;
 namespace {
 
 std::string tempPath(const std::string &Tag) {
-  return ::testing::TempDir() + "ingest_" + Tag + ".agtrace";
+  return testhelpers::testTempPath("ingest_" + Tag + ".agtrace");
 }
 
 std::vector<uint8_t> slurpBytes(const std::string &Path) {
@@ -285,7 +286,7 @@ TEST(IngestAcmeAir, JobSweepMatchesSerialReplay) {
 
 TEST(IngestMerge, StreamingMergeMatchesBatchAndHarness) {
   using namespace asyncg::cluster;
-  std::string Dir = ::testing::TempDir() + "ingest_shards";
+  std::string Dir = testhelpers::testTempPath("ingest_shards");
   ASSERT_EQ(::system(("mkdir -p " + Dir).c_str()), 0);
   ClusterConfig CCfg;
   CCfg.Loops = 2;
@@ -342,6 +343,7 @@ TEST(IngestMerge, StreamingMergeMatchesBatchAndHarness) {
   }
   for (const std::string &P : Paths)
     std::remove(P.c_str());
+  std::remove(Dir.c_str());
 }
 
 //===----------------------------------------------------------------------===//

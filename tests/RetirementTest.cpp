@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "ag/Builder.h"
 #include "apps/acmeair/App.h"
 #include "apps/acmeair/Workload.h"
@@ -189,7 +190,7 @@ TEST(RetirementReplay, RecordedTraceAgreesAcrossModes) {
       Def = &D;
   ASSERT_NE(Def, nullptr);
 
-  std::string Path = ::testing::TempDir() + "retirement_replay.agtrace";
+  std::string Path = testhelpers::testTempPath("retirement_replay.agtrace");
   {
     Runtime RT(Def->Config);
     instr::TraceRecorder Rec;

@@ -9,6 +9,10 @@
 
 #include "jsrt/Runtime.h"
 
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
 #include <string>
 #include <vector>
 
@@ -36,6 +40,27 @@ inline void runMain(jsrt::Runtime &RT,
         return jsrt::Completion::normal();
       });
   RT.main(Main);
+}
+
+/// A temporary file path under ::testing::TempDir() that no other process
+/// shares: it embeds the pid and the running test's full name, then
+/// \p Name. ctest runs every test case as its own process, in parallel
+/// under -j, so a fixed name would be overwritten and deleted by
+/// concurrently running cases.
+inline std::string testTempPath(const std::string &Name) {
+  std::string Tail = "asyncg_" + std::to_string(::getpid()) + "_";
+  if (const ::testing::TestInfo *Info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    Tail += Info->test_suite_name();
+    Tail += ".";
+    Tail += Info->name();
+    Tail += "_";
+  }
+  Tail += Name;
+  for (char &C : Tail)
+    if (C == '/')
+      C = '_'; // parameterized suite and test names contain '/'
+  return ::testing::TempDir() + Tail;
 }
 
 } // namespace testhelpers

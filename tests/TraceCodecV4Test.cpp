@@ -26,6 +26,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "ag/ShardedGraph.h"
 #include "apps/acmeair/App.h"
 #include "apps/acmeair/Workload.h"
@@ -39,6 +40,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,7 +51,7 @@ using namespace asyncg::cases;
 namespace {
 
 std::string tempPath(const std::string &Tag) {
-  return ::testing::TempDir() + "agtrace_v4_" + Tag + ".agtrace";
+  return testhelpers::testTempPath("agtrace_v4_" + Tag + ".agtrace");
 }
 
 std::vector<uint8_t> slurpBytes(const std::string &Path) {
@@ -204,7 +206,8 @@ TEST(ShardedRoundTrip, V4ShardTracesRebuildMergedGraph) {
   Cfg.Loops = 2;
   Cfg.TotalRequests = 200;
   Cfg.TotalClients = 4;
-  Cfg.RecordDir = ::testing::TempDir();
+  Cfg.RecordDir = testhelpers::testTempPath("shards");
+  ASSERT_EQ(::system(("mkdir -p " + Cfg.RecordDir).c_str()), 0);
   Cfg.TraceVer = 4;
   cluster::ClusterHarness H(Cfg);
   cluster::ClusterResult R = H.run();
@@ -244,6 +247,7 @@ TEST(ShardedRoundTrip, V4ShardTracesRebuildMergedGraph) {
   for (uint32_t S = 0; S < Cfg.Loops; ++S)
     std::remove(
         (Cfg.RecordDir + "/shard" + std::to_string(S) + ".agtrace").c_str());
+  std::remove(Cfg.RecordDir.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "ag/AsyncPipeline.h"
 #include "cases/Case.h"
 #include "instr/TraceCodec.h"
@@ -30,7 +31,7 @@ using namespace asyncg::cases;
 namespace {
 
 std::string tempTracePath(const std::string &Tag) {
-  return ::testing::TempDir() + "agtrace_" + Tag + ".agtrace";
+  return testhelpers::testTempPath("agtrace_" + Tag + ".agtrace");
 }
 
 /// Builds the reference graph inline (builder attached directly).

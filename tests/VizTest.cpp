@@ -138,7 +138,7 @@ TEST(Text, WarningsReport) {
 }
 
 TEST(Viz, WriteFileRoundTrip) {
-  std::string Path = "/tmp/asyncg_viz_test.json";
+  std::string Path = testTempPath("viz_test.json");
   EXPECT_TRUE(viz::writeFile(Path, "{\"x\":1}"));
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   ASSERT_NE(F, nullptr);

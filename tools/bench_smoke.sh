@@ -45,7 +45,10 @@
 #   - configures a TSan build (-DASYNCG_TSAN=ON) and runs the SPSC ring
 #     and multi-loop cluster tests under it, plus the ingest test suite —
 #     the MpmcQueue stress and the jobs>=2 decode pool (workers + ordered
-#     committer + steal path) are the new concurrent surface.
+#     committer + steal path) are the new concurrent surface — and the
+#     epoll/io_uring reactor matrix (ReuseportServesAcrossLoops runs
+#     several loops at once), which also runs under ASan next to
+#     fault_kernel_test.
 #
 # Usage: tools/bench_smoke.sh [--check] [--baseline DIR] [build-dir]
 #        (default build dir: build-bench-smoke)
@@ -275,15 +278,20 @@ EOF
     "$ASAN_DIR/bench/micro_codec" --parity-only >/dev/null
   echo "== [check] ASan trace codec checks OK"
 
-  echo "== [check] building fault-injection leg (fault_kernel_test) under ASan"
-  cmake --build "$ASAN_DIR" --target fault_kernel_test -j >/dev/null
+  echo "== [check] building fault-injection + reactor leg (fault_kernel_test, epoll_kernel_test) under ASan"
+  cmake --build "$ASAN_DIR" --target fault_kernel_test epoll_kernel_test -j \
+    >/dev/null
   echo "== [check] running fault injection + degradation ladder under ASan"
   # The injected error paths (EINTR retries, short-write resubmission,
   # reset teardown, ladder shedding) are exactly the branches normal runs
   # never take; ASan is what turns "survives faults" into "survives faults
   # without corrupting memory".
   ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/fault_kernel_test"
-  echo "== [check] ASan fault injection checks OK"
+  echo "== [check] running the epoll/io_uring reactor matrix under ASan"
+  # io_uring buffer lifetime across ASYNC_CANCEL and the weak/strong
+  # socket pins of the shared connection state machine.
+  ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/epoll_kernel_test"
+  echo "== [check] ASan fault injection + reactor checks OK"
 
   # Ingest leg: the ordered-commit parity contract through the CLI tools.
   # A recorded case trace must produce byte-identical warnings and DOT
@@ -308,15 +316,17 @@ EOF
   echo "== [check] configuring TSan build in $TSAN_DIR"
   cmake -S "$REPO_ROOT" -B "$TSAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DASYNCG_TSAN=ON >/dev/null
-  echo "== [check] building spsc_ring_test + cluster_test + ingest_test"
+  echo "== [check] building spsc_ring_test + cluster_test + ingest_test + epoll_kernel_test"
   cmake --build "$TSAN_DIR" --target spsc_ring_test cluster_test ingest_test \
-    -j >/dev/null
+    epoll_kernel_test -j >/dev/null
   echo "== [check] running SPSC ring tests under TSan"
   "$TSAN_DIR/tests/spsc_ring_test"
   echo "== [check] running multi-loop cluster tests under TSan"
   "$TSAN_DIR/tests/cluster_test"
   echo "== [check] running ingest decode pool + MpmcQueue tests under TSan"
   "$TSAN_DIR/tests/ingest_test"
+  echo "== [check] running the reactor matrix (multi-loop reuseport) under TSan"
+  "$TSAN_DIR/tests/epoll_kernel_test"
   echo "== [check] TSan concurrency checks OK"
 fi
 
