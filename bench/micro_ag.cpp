@@ -35,7 +35,7 @@ void benchGraphNodeInsertion(benchmark::State &State) {
       AgNode N;
       N.Kind = NodeKind::CR;
       N.Sched = static_cast<jsrt::ScheduleId>(I + 1);
-      N.Label = "L1: nextTick";
+      N.Api = jsrt::ApiKind::NextTick;
       G.addNode(std::move(N), T);
     }
     G.appendTick(std::move(T));

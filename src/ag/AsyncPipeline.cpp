@@ -165,7 +165,15 @@ void AsyncPipeline::pushScratch(bool Structural) {
   if (!Ring.tryPushAll(Scratch.data(), N)) {
     if (!Structural && Config.Policy == BackpressurePolicy::Drop) {
       DroppedEvents.fetch_add(1, std::memory_order_relaxed);
-      Scratch.clear();
+      // A FuncDef the encoder emitted for the dropped call's callbacks is
+      // identity, not decoration: the encoder never repeats it, so it
+      // must still reach the builder.
+      size_t W = 0;
+      for (const trace::TraceRecord &R : Scratch)
+        if (R.Op == static_cast<uint8_t>(trace::TraceOp::FuncDef))
+          Scratch[W++] = R;
+      Scratch.resize(W);
+      pushPending();
       return;
     }
     pushPending(); // spins until space frees up

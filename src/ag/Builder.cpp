@@ -31,14 +31,6 @@ NodeId AsyncGBuilder::currentCe() const {
   return InvalidNode;
 }
 
-std::vector<NodeId> AsyncGBuilder::activeCes() const {
-  std::vector<NodeId> R;
-  for (NodeId N : CeStack)
-    if (N != InvalidNode)
-      R.push_back(N);
-  return R;
-}
-
 bool AsyncGBuilder::filtered(ApiKind Api) const {
   if (!Config.TrackPromises && isPromiseApi(Api))
     return true;
@@ -154,14 +146,6 @@ void AsyncGBuilder::ensureTick(PhaseKind Phase) {
 // Node/edge plumbing
 //===----------------------------------------------------------------------===//
 
-Symbol AsyncGBuilder::ceLabel(const Function &F) {
-  Scratch.clear();
-  F.loc().appendShort(Scratch);
-  Scratch += ": ";
-  Scratch += F.name();
-  return Symbol(std::string_view(Scratch));
-}
-
 NodeId AsyncGBuilder::addNode(AgNode N) {
   ensureTick(CurTick.Index == 0 ? PhaseKind::Main : CurTick.Phase);
   NodeId Enclosing = currentCe();
@@ -220,7 +204,7 @@ void AsyncGBuilder::onFunctionEnter(const instr::FunctionEnterEvent &E) {
         Node.Kind = NodeKind::CE;
         Node.Loc = E.F.loc();
         Node.Api = Reg.Api;
-        Node.Label = ceLabel(E.F);
+        Node.FuncName = E.F.nameSymbol();
         Node.Func = E.F.id();
         Node.Sched = Reg.Sched;
         Node.Obj = Reg.BoundObj;
@@ -260,7 +244,7 @@ void AsyncGBuilder::onFunctionEnter(const instr::FunctionEnterEvent &E) {
       Node.Kind = NodeKind::CE;
       Node.Loc = E.F.loc();
       Node.Api = D.Api;
-      Node.Label = ceLabel(E.F);
+      Node.FuncName = E.F.nameSymbol();
       Node.Func = E.F.id();
       Node.Sched = D.Sched;
       Node.Internal = true;
@@ -308,7 +292,6 @@ void AsyncGBuilder::processRegistration(const instr::ApiCallEvent &E) {
   Node.Kind = NodeKind::CR;
   Node.Loc = E.Loc;
   Node.Api = E.Api;
-  Node.Label = crLabel(E, Scratch);
   Node.Func = E.Callbacks.empty() ? 0 : E.Callbacks.front().id();
   Node.Sched = E.Sched;
   Node.Obj = E.BoundObj;
@@ -348,7 +331,6 @@ void AsyncGBuilder::processTrigger(const instr::ApiCallEvent &E) {
   Node.Kind = NodeKind::CT;
   Node.Loc = E.Loc;
   Node.Api = E.Api;
-  Node.Label = ctLabel(E, Scratch);
   Node.Obj = E.BoundObj;
   Node.Trigger = E.Trigger;
   Node.Event = E.EventName;
@@ -470,7 +452,6 @@ void AsyncGBuilder::onObjectCreate(const instr::ObjectCreateEvent &E) {
   AgNode Node;
   Node.Kind = NodeKind::OB;
   Node.Loc = E.Loc;
-  Node.Label = obLabel(E, Scratch);
   Node.Obj = E.Obj;
   Node.Internal = E.Internal || E.Loc.isInternal();
   Node.IsPromise = E.IsPromise;

@@ -87,8 +87,9 @@ public:
   /// InvalidNode.
   NodeId currentCe() const;
 
-  /// All active CE nodes, outermost first (the execution context stack).
-  std::vector<NodeId> activeCes() const;
+  /// The CE node of every open frame, outermost first (the execution
+  /// context stack); InvalidNode for frames that are plain calls.
+  const std::vector<NodeId> &ceStack() const { return CeStack; }
 
   /// Index of the currently open tick (0 before the first).
   uint32_t currentTickIndex() const { return CurTick.Index; }
@@ -143,10 +144,6 @@ private:
   NodeId addNode(AgNode N);
 
   void addEdge(NodeId From, NodeId To, EdgeKind Kind, Symbol Label = Symbol());
-
-  /// "L7: handler" display label for a CE executing \p F (built in the
-  /// scratch buffer, interned).
-  Symbol ceLabel(const jsrt::Function &F);
 
   void processRegistration(const instr::ApiCallEvent &E);
   void processTrigger(const instr::ApiCallEvent &E);
@@ -208,9 +205,6 @@ private:
 
   /// Reusable scratch for FlatMap key collection during releases.
   std::vector<jsrt::FunctionId> KeyScratch;
-
-  /// Reusable label-building buffer: steady state allocates nothing.
-  std::string Scratch;
 };
 
 } // namespace ag

@@ -12,6 +12,38 @@
 using namespace asyncg;
 using namespace asyncg::ag;
 
+void ag::appendNodeLabel(const AgNode &N, std::string &Out) {
+  N.Loc.appendShort(Out);
+  Out += ": ";
+  switch (N.Kind) {
+  case NodeKind::CE:
+    Out += N.FuncName.view();
+    return;
+  case NodeKind::OB:
+    Out += N.IsPromise ? 'P' : 'E';
+    Out += std::to_string(N.Obj);
+    return;
+  case NodeKind::CR:
+  case NodeKind::CT:
+    Out += jsrt::apiKindName(N.Api);
+    // Registrations name their event when they have one; of the
+    // triggers, emits always do and settles never.
+    if (N.Kind == NodeKind::CR ? !N.Event.empty()
+                               : N.Api == jsrt::ApiKind::EmitterEmit) {
+      Out += '(';
+      Out += N.Event.view();
+      Out += ')';
+    }
+    return;
+  }
+}
+
+std::string ag::nodeLabel(const AgNode &N) {
+  std::string S;
+  appendNodeLabel(N, S);
+  return S;
+}
+
 void AsyncGraph::appendTick(AgTick T) {
   assert(!T.Nodes.empty() && "only non-empty ticks are appended");
   assert((Ticks.empty() || Ticks.back().Index < T.Index) &&

@@ -12,10 +12,12 @@
 /// CE), registration binding (dashed CE ⇠ CR), and labeled relation edges
 /// (OB ⇠ CR listener registrations, OB ⇠ OB promise chains and links).
 ///
-/// Storage is built for the instrumentation hot path: labels and event
-/// names are interned Symbols (4 bytes, no per-node heap traffic), the
-/// id→node indices are open-addressing FlatMaps, and adjacency lists live
-/// in one shared pool instead of a vector-per-node.
+/// Storage is built for the instrumentation hot path: event names and
+/// edge labels are interned Symbols (4 bytes, no per-node heap traffic),
+/// node labels are not stored at all but rendered from the node's parts at
+/// output time (nodeLabel()), the id→node indices are open-addressing
+/// FlatMaps, and adjacency lists live in one shared pool instead of a
+/// vector-per-node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,8 +93,10 @@ struct AgNode {
   uint32_t Tick = 0;
   SourceLocation Loc;
   jsrt::ApiKind Api = jsrt::ApiKind::None;
-  /// Display label, e.g. "L7: createServer" (interned).
-  Symbol Label;
+  /// CE only: the executed function's name. The display label is not
+  /// stored: nodeLabel() renders it from Loc, Api, Event, Obj, IsPromise
+  /// and this name.
+  Symbol FuncName;
   /// CR: registered callback; CE: executed function.
   jsrt::FunctionId Func = 0;
   /// CR: its registration id; CE: the matched registration's id.
@@ -125,6 +129,15 @@ struct AgNode {
   /// (missing-return candidate).
   bool ReactionReturnedUndefined = false;
 };
+
+/// Appends \p N's display label to \p Out: "L7: createServer",
+/// "L9: on(foo)" (CR), "L15: emit(foo)", "L3: resolve" (CT), "L7: handler"
+/// (CE), "L1: E5", "*: P7" (OB). Every serializer renders labels through
+/// this, so the text exists only while output is being written.
+void appendNodeLabel(const AgNode &N, std::string &Out);
+
+/// appendNodeLabel() into a fresh string.
+std::string nodeLabel(const AgNode &N);
 
 /// One graph edge.
 struct AgEdge {

@@ -8,8 +8,7 @@
 /// Algorithm 2's `getAsyncTemplate`: classifies every asynchronous API and
 /// carries the information the builder needs to process a call — whether it
 /// registers callbacks, triggers previously registered ones, relates
-/// objects (combinators), or is bookkeeping; plus label construction for
-/// the resulting nodes.
+/// objects (combinators), or is bookkeeping.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 #include "support/SymbolTable.h"
 
 #include <array>
-#include <string>
 
 namespace asyncg {
 namespace ag {
@@ -121,50 +119,6 @@ inline Symbol apiKindSymbol(jsrt::ApiKind Api) {
     return A;
   }();
   return Names[static_cast<size_t>(Api)];
-}
-
-/// The label builders append into a caller-owned scratch buffer (steady
-/// state: zero allocations once the buffer has grown) and intern the
-/// result; repeated labels hit the symbol table's fast path.
-
-/// Builds the display label of a CR node ("L7: createServer",
-/// "L9: on(foo)").
-inline Symbol crLabel(const instr::ApiCallEvent &E, std::string &Scratch) {
-  Scratch.clear();
-  E.Loc.appendShort(Scratch);
-  Scratch += ": ";
-  Scratch += jsrt::apiKindName(E.Api);
-  if (!E.EventName.empty()) {
-    Scratch += '(';
-    Scratch += E.EventName.view();
-    Scratch += ')';
-  }
-  return Symbol(std::string_view(Scratch));
-}
-
-/// Builds the display label of a CT node ("L15: emit(foo)", "L3: resolve").
-inline Symbol ctLabel(const instr::ApiCallEvent &E, std::string &Scratch) {
-  Scratch.clear();
-  E.Loc.appendShort(Scratch);
-  Scratch += ": ";
-  Scratch += jsrt::apiKindName(E.Api);
-  if (E.Api == jsrt::ApiKind::EmitterEmit) {
-    Scratch += '(';
-    Scratch += E.EventName.view();
-    Scratch += ')';
-  }
-  return Symbol(std::string_view(Scratch));
-}
-
-/// Builds the display label of an OB node ("L1: E5", "L2: P7", "*: E1").
-inline Symbol obLabel(const instr::ObjectCreateEvent &E,
-                      std::string &Scratch) {
-  Scratch.clear();
-  E.Loc.appendShort(Scratch);
-  Scratch += ": ";
-  Scratch += E.IsPromise ? 'P' : 'E';
-  Scratch += std::to_string(E.Obj);
-  return Symbol(std::string_view(Scratch));
 }
 
 } // namespace ag

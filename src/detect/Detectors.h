@@ -18,7 +18,8 @@
 ///                    MissingExceptionalReaction, MissingReturnInThen,
 ///                    DoubleSettle.
 ///
-/// Use DetectorSuite to attach all of them at once:
+/// Use DetectorSuite to attach all of them at once; it routes each graph
+/// event only to the detectors whose subscription() consumes it:
 /// \code
 ///   ag::AsyncGBuilder Builder;
 ///   detect::DetectorSuite Detectors;
@@ -36,10 +37,10 @@
 #include "ag/Observer.h"
 #include "support/FlatMap.h"
 
-#include <map>
-#include <set>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
-#include <tuple>
+#include <vector>
 
 namespace asyncg {
 namespace detect {
@@ -58,22 +59,115 @@ struct DetectorConfig {
   unsigned MaxListeners = 10;
 };
 
-/// Base class for detectors: carries the config and a warning helper.
+/// A set of jsrt::ApiKind values, one bit per kind.
+using ApiSet = uint64_t;
+static_assert(static_cast<unsigned>(jsrt::ApiKind::ClusterRecv) < 64,
+              "ApiSet needs one bit per ApiKind");
+
+constexpr ApiSet apiSet(std::initializer_list<jsrt::ApiKind> Kinds) {
+  ApiSet S = 0;
+  for (jsrt::ApiKind K : Kinds)
+    S |= ApiSet(1) << static_cast<unsigned>(K);
+  return S;
+}
+constexpr ApiSet AllApis = ~ApiSet(0);
+
+/// APIs that register a listener on an emitter, including the node-layer
+/// server constructors, whose callback is a listener on an internal
+/// emitter (the paper's Fig. 3).
+constexpr ApiSet ListenerApis =
+    apiSet({jsrt::ApiKind::EmitterOn, jsrt::ApiKind::EmitterOnce,
+            jsrt::ApiKind::EmitterPrepend, jsrt::ApiKind::NetCreateServer,
+            jsrt::ApiKind::HttpCreateServer});
+
+/// The observer callbacks a detector consumes. DetectorSuite builds its
+/// dispatch table from these declarations, so an event reaches only the
+/// detectors that use it. The declaration only narrows delivery: every
+/// detector still checks its own conditions and stays correct when it is
+/// attached directly and receives every event.
+struct Subscription {
+  /// onNodeAdded: for each NodeKind (CR, CE, CT, OB), the node APIs.
+  ApiSet Nodes[4] = {0, 0, 0, 0};
+  /// onEdgeAdded: one bit per EdgeKind.
+  uint8_t Edges = 0;
+  /// onApiEvent: the call's API.
+  ApiSet Calls = 0;
+  /// onObjectReleased for emitters / for promises.
+  bool EmitterReleases = false;
+  bool PromiseReleases = false;
+  bool RegistrationRemoved = false;
+  bool RegistrationReleased = false;
+  bool RegionRetire = false;
+  bool End = false;
+
+  Subscription &nodes(ag::NodeKind K, ApiSet Apis) {
+    Nodes[static_cast<unsigned>(K)] |= Apis;
+    return *this;
+  }
+  Subscription &edges(ag::EdgeKind K) {
+    Edges |= uint8_t(1u << static_cast<unsigned>(K));
+    return *this;
+  }
+};
+
+/// Base class for detectors: carries the config, the subscription and the
+/// warning helpers.
 class DetectorBase : public ag::GraphObserver {
 public:
   explicit DetectorBase(const DetectorConfig &Config) : Config(Config) {}
+
+  /// The callbacks this detector consumes.
+  virtual Subscription subscription() const = 0;
 
 protected:
   /// Adds a warning anchored at \p Node. Sticky warnings are definitive
   /// verdicts (issued at release events) that survive clearWarnings.
   void warn(ag::AsyncGBuilder &B, ag::BugCategory Cat, ag::NodeId Node,
-            std::string Message, bool Sticky = false);
+            Symbol Message, bool Sticky = false);
 
   /// Adds a node-less warning (e.g. invalid listener removal call sites).
   void warnAt(ag::AsyncGBuilder &B, ag::BugCategory Cat, SourceLocation Loc,
-              std::string Message);
+              Symbol Message);
+
+  /// The interned message for \p Key, formatted by \p Format (returning
+  /// std::string) only the first time the key is seen. \p Key must fix
+  /// the text: detectors pack the format inputs into it (an event Symbol,
+  /// an ApiKind), so a warning repeated at every release costs one probe,
+  /// not a format and an intern.
+  template <typename Fn> Symbol message(uint64_t Key, Fn &&Format) {
+    Symbol &S = Messages[Key];
+    if (S.empty())
+      S = Symbol(Format());
+    return S;
+  }
 
   const DetectorConfig &Config;
+
+private:
+  FlatMap<uint64_t, Symbol> Messages;
+};
+
+/// Live listener counts per (emitter, event, function), grouped by emitter
+/// so an emitter's release or removeAllListeners touches only its own
+/// entries instead of scanning every live key.
+class ListenerCounts {
+public:
+  /// The count for (\p Obj, \p Event, \p Fn), created at zero.
+  unsigned &at(jsrt::ObjectId Obj, Symbol Event, jsrt::FunctionId Fn);
+  /// Decrements the count if it exists and is positive.
+  void decrement(jsrt::ObjectId Obj, Symbol Event, jsrt::FunctionId Fn);
+  /// Drops every count of (\p Obj, \p Event).
+  void clearEvent(jsrt::ObjectId Obj, Symbol Event);
+  /// Drops every count of the emitter.
+  void eraseEmitter(jsrt::ObjectId Obj) { ByEmitter.erase(Obj); }
+
+private:
+  struct Entry {
+    Symbol Event;
+    jsrt::FunctionId Fn;
+    unsigned Count;
+  };
+  FlatMap<jsrt::ObjectId, std::vector<Entry>> ByEmitter;
 };
 
 //===----------------------------------------------------------------------===//
@@ -85,10 +179,11 @@ class RecursiveMicrotaskDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "recursive-microtask"; }
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
 
 private:
-  std::map<jsrt::FunctionId, unsigned> Streak;
+  FlatMap<jsrt::FunctionId, unsigned> Streak;
 };
 
 /// §VI-A.1b: mixing nextTick / setTimeout(0) / setImmediate in one tick.
@@ -96,12 +191,15 @@ class MixedSimilarApisDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "mixed-similar-apis"; }
-  void onTickStart(ag::AsyncGBuilder &B, const ag::AgTick &T) override;
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
 
 private:
-  /// Deferral families seen in the current tick -> first CR node.
-  std::map<int, ag::NodeId> SeenFamilies;
+  /// First CR node of each deferral family (nextTick, setTimeout(0),
+  /// setImmediate) in tick SeenTick; reset when a node of a later tick
+  /// arrives, so no per-tick callback is needed.
+  uint32_t SeenTick = 0;
+  ag::NodeId FirstCr[3] = {ag::InvalidNode, ag::InvalidNode, ag::InvalidNode};
 };
 
 /// §VI-A.1c: a same-tick setTimeout with a larger delay executed before a
@@ -110,13 +208,14 @@ class TimeoutOrderDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "timeout-order"; }
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
   void onRegionRetire(ag::AsyncGBuilder &B, uint32_t TickIndex) override;
 
 private:
   /// setTimeout CR nodes grouped by registration tick; a tick's group is
   /// dropped when its region retires (the sibling ids die with it).
-  std::map<uint32_t, std::vector<ag::NodeId>> ByTick;
+  FlatMap<uint32_t, std::vector<ag::NodeId>> ByTick;
 };
 
 //===----------------------------------------------------------------------===//
@@ -132,6 +231,7 @@ class DeadListenerDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "dead-listener"; }
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
   void onEdgeAdded(ag::AsyncGBuilder &B, const ag::AgEdge &E) override;
   void onRegistrationRemoved(ag::AsyncGBuilder &B, ag::NodeId Cr) override;
@@ -139,6 +239,8 @@ public:
   void onEnd(ag::AsyncGBuilder &B) override;
 
 private:
+  Symbol messageFor(const ag::AgNode &N);
+
   /// Non-internal listener CRs that never executed. Every member's
   /// registration is still pending in the builder, which pins its region:
   /// members are always live nodes.
@@ -150,6 +252,7 @@ class DeadEmitDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "dead-emit"; }
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
 };
 
@@ -158,6 +261,7 @@ class InvalidRemovalDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "invalid-removal"; }
+  Subscription subscription() const override;
   void onApiEvent(ag::AsyncGBuilder &B,
                   const instr::ApiCallEvent &E) override;
 };
@@ -167,6 +271,7 @@ class DuplicateListenerDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "duplicate-listener"; }
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
   void onApiEvent(ag::AsyncGBuilder &B,
                   const instr::ApiCallEvent &E) override;
@@ -174,10 +279,9 @@ public:
                         jsrt::ObjectId Obj, bool IsPromise) override;
 
 private:
-  using Key = std::tuple<jsrt::ObjectId, Symbol, jsrt::FunctionId>;
   /// Live listener counts; entries of a released emitter are purged so the
   /// map stays proportional to the live emitters.
-  std::map<Key, unsigned> Live;
+  ListenerCounts Live;
 };
 
 /// Extra (beyond the paper, Node's MaxListenersExceededWarning): more than
@@ -187,6 +291,7 @@ class ListenerLeakDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "listener-leak"; }
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
   void onApiEvent(ag::AsyncGBuilder &B,
                   const instr::ApiCallEvent &E) override;
@@ -194,9 +299,9 @@ public:
                         jsrt::ObjectId Obj, bool IsPromise) override;
 
 private:
-  using Key = std::pair<jsrt::ObjectId, Symbol>;
-  /// Live listener counts per (emitter, event); purged on emitter release.
-  std::map<Key, unsigned> Live;
+  /// Live listener counts per (emitter, event) (the function slot is
+  /// unused); purged on emitter release.
+  ListenerCounts Live;
 };
 
 /// §VI-A.2e: a listener registered during another listener of the same
@@ -207,6 +312,7 @@ public:
   const char *observerName() const override {
     return "add-listener-within-listener";
   }
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
 };
 
@@ -228,6 +334,7 @@ class PromiseDetector : public DetectorBase {
 public:
   using DetectorBase::DetectorBase;
   const char *observerName() const override { return "promise-bugs"; }
+  Subscription subscription() const override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
   void onEdgeAdded(ag::AsyncGBuilder &B, const ag::AgEdge &E) override;
   void onObjectReleased(ag::AsyncGBuilder &B, ag::NodeId Ob,
@@ -263,8 +370,11 @@ private:
 // The full suite
 //===----------------------------------------------------------------------===//
 
-/// Owns one instance of every detector and forwards observer callbacks.
-/// Individual detectors can be disabled before attaching.
+/// Owns one instance of every detector and dispatches observer callbacks
+/// through one table built from the detectors' subscriptions: each node,
+/// edge, API call or release reaches only the detectors that consume it,
+/// in the suite's detector order. Individual detectors can be disabled
+/// before attaching.
 class DetectorSuite : public ag::GraphObserver {
   /// Declared before the detectors: they hold references into it.
   DetectorConfig Config;
@@ -277,11 +387,14 @@ public:
   /// Registers the suite with \p B.
   void attachTo(ag::AsyncGBuilder &B) { B.addObserver(this); }
 
-  /// Disables a detector (before running).
+  /// Disables a detector (before running) and rebuilds the table.
   void disable(ag::GraphObserver *D);
 
-  /// Enabled detectors.
+  /// Enabled detectors, in dispatch order.
   const std::vector<ag::GraphObserver *> &detectors() const { return Active; }
+
+  /// True if any table entry dispatches to \p D.
+  bool dispatchesTo(const ag::GraphObserver *D) const;
 
   RecursiveMicrotaskDetector Recursive;
   MixedSimilarApisDetector Mixed;
@@ -294,7 +407,6 @@ public:
   ListenerLeakDetector LeakDetector;
   PromiseDetector Promises;
 
-  void onTickStart(ag::AsyncGBuilder &B, const ag::AgTick &T) override;
   void onNodeAdded(ag::AsyncGBuilder &B, ag::NodeId N) override;
   void onEdgeAdded(ag::AsyncGBuilder &B, const ag::AgEdge &E) override;
   void onApiEvent(ag::AsyncGBuilder &B,
@@ -307,7 +419,32 @@ public:
   void onEnd(ag::AsyncGBuilder &B) override;
 
 private:
+  /// One bit per Active index.
+  using Mask = uint16_t;
+  static constexpr unsigned NumApis =
+      static_cast<unsigned>(jsrt::ApiKind::ClusterRecv) + 1;
+
+  /// Rebuilds every table entry from the Active detectors' subscriptions.
+  void rebuild();
+
+  /// Calls \p Call on every Active detector whose bit is set in \p M, in
+  /// Active order.
+  template <typename Fn> void forEachIn(Mask M, Fn &&Call) {
+    for (unsigned Bits = M; Bits != 0; Bits &= Bits - 1)
+      Call(Active[static_cast<size_t>(__builtin_ctz(Bits))]);
+  }
+
   std::vector<ag::GraphObserver *> Active;
+  /// The dispatch table.
+  Mask NodeTable[4][NumApis];
+  Mask EdgeTable[4];
+  Mask CallTable[NumApis];
+  /// Indexed by IsPromise.
+  Mask ReleaseTable[2];
+  Mask RemovedMask;
+  Mask RegReleasedMask;
+  Mask RetireMask;
+  Mask EndMask;
 };
 
 } // namespace detect

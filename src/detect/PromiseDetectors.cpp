@@ -1,4 +1,4 @@
-//===- PromiseDetectors.cpp - Promise-bug detectors (§VI-A.3) and suite ------===//
+//===- PromiseDetectors.cpp - Promise-bug detectors (§VI-A.3) ----------------===//
 //
 // Part of AsyncG-C++. MIT License.
 //
@@ -18,9 +18,12 @@ using namespace asyncg::jsrt;
 namespace {
 
 /// APIs that attach a reaction to a promise.
+constexpr ApiSet ReactionApis =
+    apiSet({ApiKind::PromiseThen, ApiKind::PromiseCatch,
+            ApiKind::PromiseFinally, ApiKind::Await});
+
 bool isReactionApi(ApiKind K) {
-  return K == ApiKind::PromiseThen || K == ApiKind::PromiseCatch ||
-         K == ApiKind::PromiseFinally || K == ApiKind::Await;
+  return (ReactionApis >> static_cast<unsigned>(K)) & 1;
 }
 
 /// Relation labels that derive one promise from another through a
@@ -32,6 +35,20 @@ bool isDerivationLabel(Symbol L) {
 }
 
 } // namespace
+
+Subscription PromiseDetector::subscription() const {
+  Subscription S;
+  S.nodes(NodeKind::OB, AllApis)
+      .nodes(NodeKind::CT,
+             apiSet({ApiKind::PromiseResolve, ApiKind::PromiseReject}))
+      // Reactions (internal adoption ones too), the only registrations
+      // that react to or derive a promise.
+      .nodes(NodeKind::CR, ReactionApis | apiSet({ApiKind::Internal}))
+      .edges(EdgeKind::Relation);
+  S.PromiseReleases = true;
+  S.End = true;
+  return S;
+}
 
 void PromiseDetector::onNodeAdded(AsyncGBuilder &B, NodeId N) {
   const AgNode &Node = B.graph().node(N);
@@ -58,9 +75,11 @@ void PromiseDetector::onNodeAdded(AsyncGBuilder &B, NodeId N) {
     }
     if (!Node.Internal)
       warn(B, BugCategory::DoubleSettle, N,
-           strFormat("%s on an already-settled promise has no effect "
-                     "(double resolve or reject)",
-                     apiKindName(Node.Api)));
+           message(static_cast<uint64_t>(Node.Api), [&] {
+             return strFormat("%s on an already-settled promise has no "
+                              "effect (double resolve or reject)",
+                              apiKindName(Node.Api));
+           }));
     return;
   }
 
@@ -110,40 +129,42 @@ void PromiseDetector::onEdgeAdded(AsyncGBuilder &B, const AgEdge &E) {
 
 void PromiseDetector::judge(AsyncGBuilder &B, const PromState &P,
                             bool Sticky) {
+  static const Symbol DeadMsg(
+      "promise was never resolved or rejected during this execution "
+      "(dead promise)");
+  static const Symbol NoReactionMsg(
+      "promise settled but has no reaction (no then/catch/await uses its "
+      "result)");
+  static const Symbol NoRejectMsg(
+      "promise chain does not end with a reject reaction: an exception "
+      "anywhere in the chain would be silently dropped");
+  static const Symbol MissingReturnMsg(
+      "the reaction producing this promise returned undefined but the "
+      "chain continues: the next then receives undefined (missing "
+      "return)");
   const AgNode &N = B.graph().node(P.Ob);
   bool IsRoot = !P.HasParent;
 
   // §VI-A.3a: never settled during this execution.
   if (!P.Settled && IsRoot)
-    warn(B, BugCategory::DeadPromise, P.Ob,
-         "promise was never resolved or rejected during this execution "
-         "(dead promise)",
-         Sticky);
+    warn(B, BugCategory::DeadPromise, P.Ob, DeadMsg, Sticky);
 
   // §VI-A.3b: settled but nothing ever reacted (then/catch/await/...).
   if (P.Settled && IsRoot && !P.Reacted)
-    warn(B, BugCategory::MissingReaction, P.Ob,
-         "promise settled but has no reaction (no then/catch/await uses "
-         "its result)",
-         Sticky);
+    warn(B, BugCategory::MissingReaction, P.Ob, NoReactionMsg, Sticky);
 
   // §VI-A.3c: the chain ending here has no rejection handler. Reported
   // even when no exception was actually thrown (the paper checks chain
   // structure, not executions).
   if (P.DerivedCount == 0 && !P.RejectHandled && !IsRoot &&
       !P.DerivingCrHasReject)
-    warn(B, BugCategory::MissingExceptionalReaction, P.Ob,
-         "promise chain does not end with a reject reaction: an "
-         "exception anywhere in the chain would be silently dropped",
+    warn(B, BugCategory::MissingExceptionalReaction, P.Ob, NoRejectMsg,
          Sticky);
 
   // §VI-A.3d: a reaction returned undefined but the chain continues with
   // a value-consuming then (a trailing catch does not use the value).
   if (N.ReactionReturnedUndefined && P.DerivedThenCount != 0)
-    warn(B, BugCategory::MissingReturnInThen, P.Ob,
-         "the reaction producing this promise returned undefined but "
-         "the chain continues: the next then receives undefined "
-         "(missing return)",
+    warn(B, BugCategory::MissingReturnInThen, P.Ob, MissingReturnMsg,
          Sticky);
 }
 
@@ -179,71 +200,4 @@ void PromiseDetector::onEnd(AsyncGBuilder &B) {
             });
   for (const PromState *P : EndScratch)
     judge(B, *P, /*Sticky=*/false);
-}
-
-//===----------------------------------------------------------------------===//
-// DetectorSuite
-//===----------------------------------------------------------------------===//
-
-DetectorSuite::DetectorSuite(DetectorConfig Config)
-    : Config(Config), Recursive(this->Config), Mixed(this->Config),
-      TimeoutOrder(this->Config), DeadListener(this->Config),
-      DeadEmit(this->Config), InvalidRemoval(this->Config),
-      Duplicate(this->Config), AddWithin(this->Config),
-      LeakDetector(this->Config), Promises(this->Config) {
-  Active = {&Recursive,      &Mixed,        &TimeoutOrder,
-            &DeadListener,   &DeadEmit,     &InvalidRemoval,
-            &Duplicate,      &AddWithin,    &LeakDetector,
-            &Promises};
-}
-
-void DetectorSuite::disable(GraphObserver *D) {
-  Active.erase(std::remove(Active.begin(), Active.end(), D), Active.end());
-}
-
-void DetectorSuite::onTickStart(AsyncGBuilder &B, const AgTick &T) {
-  for (GraphObserver *D : Active)
-    D->onTickStart(B, T);
-}
-
-void DetectorSuite::onNodeAdded(AsyncGBuilder &B, NodeId N) {
-  for (GraphObserver *D : Active)
-    D->onNodeAdded(B, N);
-}
-
-void DetectorSuite::onEdgeAdded(AsyncGBuilder &B, const AgEdge &E) {
-  for (GraphObserver *D : Active)
-    D->onEdgeAdded(B, E);
-}
-
-void DetectorSuite::onApiEvent(AsyncGBuilder &B,
-                               const instr::ApiCallEvent &E) {
-  for (GraphObserver *D : Active)
-    D->onApiEvent(B, E);
-}
-
-void DetectorSuite::onRegistrationRemoved(AsyncGBuilder &B, NodeId Cr) {
-  for (GraphObserver *D : Active)
-    D->onRegistrationRemoved(B, Cr);
-}
-
-void DetectorSuite::onRegistrationReleased(AsyncGBuilder &B, NodeId Cr) {
-  for (GraphObserver *D : Active)
-    D->onRegistrationReleased(B, Cr);
-}
-
-void DetectorSuite::onObjectReleased(AsyncGBuilder &B, NodeId Ob,
-                                     ObjectId Obj, bool IsPromise) {
-  for (GraphObserver *D : Active)
-    D->onObjectReleased(B, Ob, Obj, IsPromise);
-}
-
-void DetectorSuite::onRegionRetire(AsyncGBuilder &B, uint32_t TickIndex) {
-  for (GraphObserver *D : Active)
-    D->onRegionRetire(B, TickIndex);
-}
-
-void DetectorSuite::onEnd(AsyncGBuilder &B) {
-  for (GraphObserver *D : Active)
-    D->onEnd(B);
 }

@@ -13,33 +13,14 @@ using namespace asyncg::detect;
 using namespace asyncg::ag;
 using namespace asyncg::jsrt;
 
-void DetectorBase::warn(AsyncGBuilder &B, BugCategory Cat, NodeId Node,
-                        std::string Message, bool Sticky) {
-  const AgNode &N = B.graph().node(Node);
-  Warning W;
-  W.Category = Cat;
-  W.Message = std::move(Message);
-  W.Loc = N.Loc;
-  W.Node = Node;
-  W.Tick = N.Tick;
-  W.Sticky = Sticky;
-  B.graph().addWarning(std::move(W));
-}
-
-void DetectorBase::warnAt(AsyncGBuilder &B, BugCategory Cat,
-                          SourceLocation Loc, std::string Message) {
-  Warning W;
-  W.Category = Cat;
-  W.Message = std::move(Message);
-  W.Loc = std::move(Loc);
-  W.Node = InvalidNode;
-  W.Tick = B.currentTickIndex();
-  B.graph().addWarning(std::move(W));
-}
-
 //===----------------------------------------------------------------------===//
 // Recursive micro-tasks (§VI-A.1a)
 //===----------------------------------------------------------------------===//
+
+Subscription RecursiveMicrotaskDetector::subscription() const {
+  return Subscription().nodes(
+      NodeKind::CR, apiSet({ApiKind::NextTick, ApiKind::PromiseThen}));
+}
 
 void RecursiveMicrotaskDetector::onNodeAdded(AsyncGBuilder &B, NodeId N) {
   const AgNode &Node = B.graph().node(N);
@@ -59,9 +40,11 @@ void RecursiveMicrotaskDetector::onNodeAdded(AsyncGBuilder &B, NodeId N) {
   if (Count < Config.RecursiveMicrotaskThreshold)
     return;
   warn(B, BugCategory::RecursiveMicrotask, N,
-       strFormat("recursive %s re-schedules the running callback; the "
-                 "micro-task queue starves all other phases",
-                 apiKindName(Node.Api)));
+       message(static_cast<uint64_t>(Node.Api), [&] {
+         return strFormat("recursive %s re-schedules the running callback; "
+                          "the micro-task queue starves all other phases",
+                          apiKindName(Node.Api));
+       }));
 }
 
 //===----------------------------------------------------------------------===//
@@ -98,11 +81,10 @@ const char *familyName(int F) {
 
 } // namespace
 
-void MixedSimilarApisDetector::onTickStart(AsyncGBuilder &B,
-                                           const AgTick &T) {
-  (void)B;
-  (void)T;
-  SeenFamilies.clear();
+Subscription MixedSimilarApisDetector::subscription() const {
+  return Subscription().nodes(NodeKind::CR,
+                              apiSet({ApiKind::NextTick, ApiKind::SetTimeout,
+                                      ApiKind::SetImmediate}));
 }
 
 void MixedSimilarApisDetector::onNodeAdded(AsyncGBuilder &B, NodeId N) {
@@ -112,25 +94,45 @@ void MixedSimilarApisDetector::onNodeAdded(AsyncGBuilder &B, NodeId N) {
   int F = deferralFamily(Node, Config.ZeroTimeoutMs);
   if (F < 0)
     return;
-  for (const auto &[Other, FirstCr] : SeenFamilies) {
-    if (Other == F)
+  if (Node.Tick != SeenTick) {
+    SeenTick = Node.Tick;
+    for (NodeId &First : FirstCr)
+      First = InvalidNode;
+  }
+  for (int Other = 0; Other != 3; ++Other) {
+    if (Other == F || FirstCr[Other] == InvalidNode)
       continue;
-    warn(B, BugCategory::MixedSimilarApis, N,
-         strFormat("%s mixed with %s in the same tick: their callbacks "
-                   "execute in different event-loop phases, not in "
-                   "registration order",
-                   familyName(F), familyName(Other)));
-    warn(B, BugCategory::MixedSimilarApis, FirstCr,
-         strFormat("%s mixed with %s in the same tick", familyName(Other),
-                   familyName(F)));
+    // One key per (family, other family) pair for each of the two
+    // messages; bit 4 tells the second message apart.
+    uint64_t Key = static_cast<uint64_t>(F * 3 + Other);
+    warn(B, BugCategory::MixedSimilarApis, N, message(Key, [&] {
+           return strFormat("%s mixed with %s in the same tick: their "
+                            "callbacks execute in different event-loop "
+                            "phases, not in registration order",
+                            familyName(F), familyName(Other));
+         }));
+    warn(B, BugCategory::MixedSimilarApis, FirstCr[Other],
+         message(Key | 16, [&] {
+           return strFormat("%s mixed with %s in the same tick",
+                            familyName(Other), familyName(F));
+         }));
     break;
   }
-  SeenFamilies.emplace(F, N);
+  if (FirstCr[F] == InvalidNode)
+    FirstCr[F] = N;
 }
 
 //===----------------------------------------------------------------------===//
 // Unexpected timeout execution order (§VI-A.1c)
 //===----------------------------------------------------------------------===//
+
+Subscription TimeoutOrderDetector::subscription() const {
+  Subscription S;
+  S.nodes(NodeKind::CR, apiSet({ApiKind::SetTimeout}))
+      .nodes(NodeKind::CE, apiSet({ApiKind::SetTimeout}));
+  S.RegionRetire = true;
+  return S;
+}
 
 void TimeoutOrderDetector::onRegionRetire(AsyncGBuilder &B,
                                           uint32_t TickIndex) {
@@ -155,10 +157,10 @@ void TimeoutOrderDetector::onNodeAdded(AsyncGBuilder &B, NodeId N) {
   if (Cr == InvalidNode)
     return;
   const AgNode &Reg = B.graph().node(Cr);
-  auto It = ByTick.find(Reg.Tick);
-  if (It == ByTick.end())
+  const std::vector<NodeId> *Siblings = ByTick.find(Reg.Tick);
+  if (!Siblings)
     return;
-  for (NodeId Sibling : It->second) {
+  for (NodeId Sibling : *Siblings) {
     if (Sibling == Cr)
       continue;
     const AgNode &S = B.graph().node(Sibling);

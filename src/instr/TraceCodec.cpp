@@ -46,7 +46,7 @@ void TraceEncoder::defineFunc(const jsrt::Function &F,
   TraceRecord R;
   R.Op = static_cast<uint8_t>(TraceOp::FuncDef);
   R.A8 = F.isBuiltin() ? 1 : 0;
-  R.C32 = Symbol(F.name()).id();
+  R.C32 = F.nameSymbol().id();
   R.D64 = Id;
   R.F64 = packLoc(F.loc().fileSymbol().id(), F.loc().line());
   Out.push_back(R);
@@ -96,6 +96,12 @@ void TraceEncoder::functionExit(const FunctionExitEvent &E,
 
 void TraceEncoder::apiCall(const ApiCallEvent &E,
                            std::vector<TraceRecord> &Out) {
+  // A callback that is only passed to an API (the fresh function handed
+  // to removeListener) is never entered, so define it here: a decoder
+  // that met its id only in ApiFuncs would know it by id alone.
+  for (const jsrt::Function &Cb : E.Callbacks)
+    defineFunc(Cb, Out);
+
   TraceRecord Base;
   Base.Op = static_cast<uint8_t>(TraceOp::ApiBase);
   Base.A8 = static_cast<uint8_t>(E.Api);
@@ -286,7 +292,9 @@ void TraceDecoder::feed(const TraceRecord &R, AnalysisBase &Sink) {
     const jsrt::Function &F = funcFor(R.D64);
     // Fill (or refresh) the identity: placeholders created by earlier
     // ApiFuncs references gain their name/location here.
-    F.ref()->Name = std::string(sym(R.C32).view());
+    Symbol Name = sym(R.C32);
+    F.ref()->Name = std::string(Name.view());
+    F.ref()->NameSym = Name;
     F.ref()->Loc = loc(R.F64);
     F.ref()->IsBuiltin = R.A8 != 0;
     return;
@@ -311,8 +319,9 @@ void TraceDecoder::feed(const TraceRecord &R, AnalysisBase &Sink) {
     D.TickSeq = R.F64;
     D.Trigger = PendingTrigger;
     PendingTrigger = jsrt::TriggerInfo();
-    jsrt::Function F = funcFor(R.D64);
-    FunctionEnterEvent Ev{F, EmptyArgs, D};
+    // Borrowed from Funcs: the sink's copies are its own business, and
+    // decoding pays no reference-count traffic per record.
+    FunctionEnterEvent Ev{funcFor(R.D64), EmptyArgs, D};
     Sink.onFunctionEnter(Ev);
     return;
   }
@@ -320,8 +329,7 @@ void TraceDecoder::feed(const TraceRecord &R, AnalysisBase &Sink) {
   case TraceOp::Exit: {
     static const jsrt::Completion NormalResult;
     static const jsrt::DispatchInfo NoDispatch;
-    jsrt::Function F = funcFor(R.D64);
-    FunctionExitEvent Ev{F, NormalResult, NoDispatch};
+    FunctionExitEvent Ev{funcFor(R.D64), NormalResult, NoDispatch};
     Sink.onFunctionExit(Ev);
     return;
   }

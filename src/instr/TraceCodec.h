@@ -11,7 +11,8 @@
 ///  - TraceEncoder runs on the event-loop thread. It turns each event into
 ///    a short span of records in a caller-owned scratch vector (steady
 ///    state: no allocation) and emits one FuncDef per function the first
-///    time it appears, so consumers can rebuild Function identities.
+///    time it appears (entered, or passed to an API), so consumers can
+///    rebuild Function identities.
 ///  - TraceDecoder runs wherever the records are consumed — the async
 ///    pipeline's builder thread or an offline replay — and fires the
 ///    reconstructed events into any AnalysisBase. Function handles are

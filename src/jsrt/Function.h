@@ -61,6 +61,10 @@ using FunctionBody = std::function<Completion(Runtime &, const CallArgs &)>;
 struct FunctionData {
   FunctionId Id = 0;
   std::string Name;
+  /// Name as an interned Symbol: filled on first Function::nameSymbol()
+  /// call, or directly by a trace decoder that already holds the id.
+  /// Empty until then (and for unnamed functions).
+  Symbol NameSym;
   SourceLocation Loc;
   bool IsBuiltin = false;
   FunctionBody Body;
@@ -79,6 +83,15 @@ public:
   const std::string &name() const {
     static const std::string Empty;
     return Data ? Data->Name : Empty;
+  }
+  /// name() interned once per function and cached in the shared payload,
+  /// so graph nodes can carry it as a 4-byte Symbol.
+  Symbol nameSymbol() const {
+    if (!Data)
+      return Symbol();
+    if (Data->NameSym.empty() && !Data->Name.empty())
+      Data->NameSym = Symbol(Data->Name);
+    return Data->NameSym;
   }
   const SourceLocation &loc() const {
     static const SourceLocation Invalid;

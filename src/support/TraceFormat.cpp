@@ -33,9 +33,17 @@ void V4FrameEncoder::encodeFrame(const TraceRecord *Records, size_t N,
                                  std::vector<uint8_t> &Out) {
   for (TraceRecord &P : Prev)
     P = TraceRecord();
-  for (unsigned C = 0; C != FrameColumns; ++C)
-    Col[C].clear();
+  if (N > ColRecords) {
+    // Op and mask take one byte per record, the value columns at most one
+    // varint each.
+    for (unsigned C = 0; C != FrameColumns; ++C)
+      Col[C].reset(new uint8_t[C < 2 ? N : N * MaxVarintBytes]);
+    ColRecords = N;
+  }
 
+  uint8_t *OpP = Col[0].get(), *MaskP = Col[1].get();
+  uint8_t *PA = Col[2].get(), *PB = Col[3].get(), *PC = Col[4].get();
+  uint8_t *PD = Col[5].get(), *PE = Col[6].get(), *PF = Col[7].get();
   for (size_t I = 0; I != N; ++I) {
     const TraceRecord &R = Records[I];
     uint8_t Op = R.Op;
@@ -43,46 +51,49 @@ void V4FrameEncoder::encodeFrame(const TraceRecord *Records, size_t N,
     uint8_t Mask = 0;
     if (R.A8 != P.A8) {
       Mask |= MaskA8;
-      appendVarint(Col[2], zigzagEncode(static_cast<int64_t>(R.A8) -
+      PA = writeVarint(PA, zigzagEncode(static_cast<int64_t>(R.A8) -
                                         static_cast<int64_t>(P.A8)));
     }
     if (R.B16 != P.B16) {
       Mask |= MaskB16;
-      appendVarint(Col[3], zigzagEncode(static_cast<int64_t>(R.B16) -
+      PB = writeVarint(PB, zigzagEncode(static_cast<int64_t>(R.B16) -
                                         static_cast<int64_t>(P.B16)));
     }
     if (R.C32 != P.C32) {
       Mask |= MaskC32;
-      appendVarint(Col[4], zigzagEncode(static_cast<int64_t>(R.C32) -
+      PC = writeVarint(PC, zigzagEncode(static_cast<int64_t>(R.C32) -
                                         static_cast<int64_t>(P.C32)));
     }
     if (R.D64 != P.D64) {
       Mask |= MaskD64;
-      appendVarint(Col[5], zigzagEncode(static_cast<int64_t>(R.D64 - P.D64)));
+      PD = writeVarint(PD, zigzagEncode(static_cast<int64_t>(R.D64 - P.D64)));
     }
     if (R.E64 != P.E64) {
       Mask |= MaskE64;
-      appendVarint(Col[6], zigzagEncode(static_cast<int64_t>(R.E64 - P.E64)));
+      PE = writeVarint(PE, zigzagEncode(static_cast<int64_t>(R.E64 - P.E64)));
     }
     if (R.F64 != P.F64) {
       Mask |= MaskF64;
-      appendVarint(Col[7], zigzagEncode(static_cast<int64_t>(R.F64 - P.F64)));
+      PF = writeVarint(PF, zigzagEncode(static_cast<int64_t>(R.F64 - P.F64)));
     }
-    Col[0].push_back(Op);
-    Col[1].push_back(Mask);
+    OpP[I] = Op;
+    MaskP[I] = Mask;
     P = R;
   }
 
+  const uint8_t *End[FrameColumns] = {OpP + N, MaskP + N, PA, PB,
+                                      PC,      PD,        PE, PF};
   TraceFrameHeader H;
   H.Magic = FrameMagic;
   H.RecordCount = static_cast<uint32_t>(N);
   for (unsigned C = 0; C != FrameColumns; ++C)
-    H.ColBytes[C] = static_cast<uint32_t>(Col[C].size());
-  size_t HeaderAt = Out.size();
-  Out.resize(HeaderAt + sizeof(H));
-  std::memcpy(Out.data() + HeaderAt, &H, sizeof(H));
-  for (unsigned C = 0; C != FrameColumns; ++C)
-    Out.insert(Out.end(), Col[C].begin(), Col[C].end());
+    H.ColBytes[C] = static_cast<uint32_t>(End[C] - Col[C].get());
+  const auto *HBytes = reinterpret_cast<const uint8_t *>(&H);
+  Out.insert(Out.end(), HBytes, HBytes + sizeof(H));
+  for (unsigned C = 0; C != FrameColumns; ++C) {
+    const uint8_t *Begin = Col[C].get();
+    Out.insert(Out.end(), Begin, End[C]);
+  }
 }
 
 //===----------------------------------------------------------------------===//

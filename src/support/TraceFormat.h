@@ -67,6 +67,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -164,13 +165,15 @@ inline int64_t zigzagDecode(uint64_t U) {
   return static_cast<int64_t>(U >> 1) ^ -static_cast<int64_t>(U & 1);
 }
 
-/// Appends \p V as an LEB128 varint (1..10 bytes).
-inline void appendVarint(std::vector<uint8_t> &Out, uint64_t V) {
+/// Writes \p V as an LEB128 varint (1..10 bytes) at \p P, which must
+/// have MaxVarintBytes writable; returns the end of the value.
+inline uint8_t *writeVarint(uint8_t *P, uint64_t V) {
   while (V >= 0x80) {
-    Out.push_back(static_cast<uint8_t>(V) | 0x80);
+    *P++ = static_cast<uint8_t>(V) | 0x80;
     V >>= 7;
   }
-  Out.push_back(static_cast<uint8_t>(V));
+  *P++ = static_cast<uint8_t>(V);
+  return P;
 }
 
 /// Reads an LEB128 varint from [P, End). Returns false on truncation or a
@@ -317,11 +320,13 @@ public:
                    std::vector<uint8_t> &Out);
 
 private:
-  /// Per-opcode prediction state and per-column scratch, reused across
-  /// frames (cleared per frame) so steady-state encoding is allocation
-  /// free.
+  /// Per-opcode prediction state (cleared per frame) and per-column
+  /// scratch sized for the worst case of the largest frame seen, so the
+  /// record loop writes through raw cursors with no capacity checks and
+  /// steady-state encoding is allocation free.
   TraceRecord Prev[TraceOpLimit];
-  std::vector<uint8_t> Col[FrameColumns];
+  std::unique_ptr<uint8_t[]> Col[FrameColumns];
+  size_t ColRecords = 0;
 };
 
 /// Decodes one self-contained v4 frame from [P, P+Avail). On success sets

@@ -65,10 +65,9 @@ std::string asyncg::viz::toDot(const AsyncGraph &G, const DotOptions &Opts) {
         Skipped.insert(N);
         continue;
       }
-      std::string Label = Node.Label.str();
       bool HasWarning = Warned.count(N) != 0;
-      if (HasWarning)
-        Label = "(!) " + Label;
+      std::string Label = HasWarning ? "(!) " : "";
+      appendNodeLabel(Node, Label);
       Out += strFormat(
           "    n%u [label=\"%s\", shape=%s%s];\n", N,
           escapeString(Label).c_str(), shapeOf(Node.Kind),

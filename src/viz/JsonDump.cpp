@@ -44,7 +44,7 @@ std::string asyncg::viz::toJson(const AsyncGraph &G) {
     W.field("id", static_cast<uint64_t>(N.Id));
     W.field("kind", nodeKindName(N.Kind));
     W.field("tick", static_cast<uint64_t>(N.Tick));
-    W.field("label", N.Label);
+    W.field("label", nodeLabel(N));
     W.field("loc", N.Loc.str());
     W.field("api", jsrt::apiKindName(N.Api));
     if (N.Obj != 0)

@@ -62,16 +62,18 @@ std::string asyncg::viz::toText(const AsyncGraph &G,
       const AgNode &Node = G.node(N);
       if (!Opts.IncludeInternal && Node.Internal)
         continue;
-      std::string Line =
-          strFormat("  %s %s", glyphOf(Node.Kind), Node.Label.c_str());
+      std::string Line = strFormat("  %s ", glyphOf(Node.Kind));
+      appendNodeLabel(Node, Line);
       // Key relations rendered inline.
       for (uint32_t E : G.outEdges(N)) {
         const AgEdge &Edge = G.edge(E);
-        if (Edge.Kind == EdgeKind::Binding)
-          Line += strFormat("  ~~> %s", G.node(Edge.To).Label.c_str());
-        else if (Edge.Kind == EdgeKind::Relation && !Edge.Label.empty())
-          Line += strFormat("  --%s--> %s", Edge.Label.c_str(),
-                            G.node(Edge.To).Label.c_str());
+        if (Edge.Kind == EdgeKind::Binding) {
+          Line += "  ~~> ";
+          appendNodeLabel(G.node(Edge.To), Line);
+        } else if (Edge.Kind == EdgeKind::Relation && !Edge.Label.empty()) {
+          Line += strFormat("  --%s--> ", Edge.Label.c_str());
+          appendNodeLabel(G.node(Edge.To), Line);
+        }
       }
       if (Warned.count(N))
         Line += "   (!)";

@@ -308,7 +308,7 @@ TEST(Builder, NopromiseModeSkipsPromiseNodes) {
   const AsyncGraph &G = B->graph();
   EXPECT_EQ(countNodes(G, NodeKind::OB), 0u);
   for (const AgNode &N : G.nodes())
-    EXPECT_FALSE(isPromiseApi(N.Api)) << N.Label;
+    EXPECT_FALSE(isPromiseApi(N.Api)) << nodeLabel(N);
   // nextTick still tracked.
   EXPECT_NE(firstNode(G, NodeKind::CR, ApiKind::NextTick), nullptr);
 }
@@ -368,7 +368,7 @@ TEST(Builder, AwaitAppearsAsRegistrationAndResumption) {
   auto Execs = G.executionsOf(Cr->Sched);
   ASSERT_EQ(Execs.size(), 1u);
   const AgNode &Ce = G.node(Execs.front());
-  EXPECT_NE(Ce.Label.view().find("myAsyncFn (resumed)"), std::string_view::npos);
+  EXPECT_NE(nodeLabel(Ce).find("myAsyncFn (resumed)"), std::string::npos);
   // The resumption runs in a promise micro-tick.
   for (const AgTick &T : G.ticks()) {
     if (T.Index == Ce.Tick) {

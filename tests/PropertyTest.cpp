@@ -202,9 +202,9 @@ TEST_P(RandomPrograms, InvariantsHold) {
       }
     }
     if (N.Sched != 0)
-      EXPECT_EQ(Bindings, 1u) << N.Label;
+      EXPECT_EQ(Bindings, 1u) << nodeLabel(N);
     else
-      EXPECT_EQ(Bindings, 0u) << N.Label;
+      EXPECT_EQ(Bindings, 0u) << nodeLabel(N);
   }
 
   // I3: ticks strictly increasing and non-empty.

@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -241,6 +243,56 @@ TEST(AsyncPipelineBackpressure, StructuralEventsNeverDrop) {
   EXPECT_EQ(Sink.Enters, Total);
   EXPECT_EQ(Sink.Exits, Total);
   EXPECT_EQ(P.droppedEvents(), 0u) << "structural events must block, not drop";
+}
+
+/// Records the name of every entered function.
+class NameSink : public instr::AnalysisBase {
+public:
+  void onFunctionEnter(const instr::FunctionEnterEvent &E) override {
+    Names.push_back(E.F.name());
+  }
+  std::vector<std::string> Names;
+};
+
+/// A callback's FuncDef goes out with the first API call that passes it.
+/// When Drop sheds that call, the FuncDef must still reach the builder:
+/// the encoder never repeats it, so the callback's later Enter would
+/// otherwise decode to a nameless function.
+TEST(AsyncPipelineBackpressure, DroppedCallKeepsFunctionDefinition) {
+  NameSink Sink;
+  ag::PipelineConfig Cfg;
+  Cfg.RingCapacity = 1024;
+  Cfg.Policy = ag::BackpressurePolicy::Drop;
+  // The parked builder lets the ring fill deterministically.
+  Cfg.Drain = ag::DrainMode::Deferred;
+  ag::AsyncPipeline P(Sink, Cfg);
+
+  instr::ObjectCreateEvent Obj;
+  for (uint64_t I = 0; I != 1024; ++I) {
+    Obj.Obj = I + 1;
+    P.onObjectCreate(Obj);
+  }
+  ASSERT_EQ(P.droppedEvents(), 0u);
+
+  auto Data = std::make_shared<jsrt::FunctionData>();
+  Data->Id = 1;
+  Data->Name = "handler";
+  jsrt::Function F(Data);
+  instr::ApiCallEvent Call;
+  Call.Api = jsrt::ApiKind::EmitterOn;
+  Call.EventName = "evt";
+  Call.Callbacks.push_back(F);
+  P.onApiCall(Call); // ring full: shed
+  EXPECT_EQ(P.droppedEvents(), 1u);
+
+  jsrt::CallArgs Args;
+  jsrt::DispatchInfo Dispatch;
+  jsrt::Completion Result;
+  P.onFunctionEnter(instr::FunctionEnterEvent{F, Args, Dispatch});
+  P.onFunctionExit(instr::FunctionExitEvent{F, Result, Dispatch});
+  P.stop();
+  ASSERT_EQ(Sink.Names.size(), 1u);
+  EXPECT_EQ(Sink.Names[0], "handler");
 }
 
 /// Deferred drain: the builder thread parks while the ring buffers events;

@@ -8,7 +8,11 @@
 # soak_steady_state config with --json, and validates that each emitted
 # BENCH_<name>.json matches the BenchReport schema (bench / config /
 # metrics[{name, value, unit}], including the automatic peak_rss metric).
-# Exits non-zero on any build, run, or schema failure.
+#
+# Every step is a leg that runs in its own subshell and stops at its own
+# first failing command; a failed leg does not stop the legs after it. The
+# script ends with the list of failed legs and exits non-zero if there are
+# any.
 #
 # With --check, additionally:
 #   - self-compares every emitted JSON with tools/bench_compare.py (a
@@ -54,7 +58,7 @@
 #        (default build dir: build-bench-smoke)
 #===------------------------------------------------------------------------===#
 
-set -euo pipefail
+set -uo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 CHECK_MODE=0
@@ -69,15 +73,31 @@ done
 BUILD_DIR="${1:-$REPO_ROOT/build-bench-smoke}"
 OUT_DIR="$BUILD_DIR/bench-json"
 
-echo "== configuring Release build in $BUILD_DIR"
-cmake -S "$REPO_ROOT" -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release >/dev/null
+FAILED_LEGS=()
 
-echo "== building micro_ag + micro_eventloop + micro_ring + micro_codec"
-echo "   + soak_steady_state + cluster_scaling + ingest_scaling"
-cmake --build "$BUILD_DIR" --target micro_ag micro_eventloop micro_ring \
-  micro_codec soak_steady_state cluster_scaling ingest_scaling -j >/dev/null
+# leg NAME COMMAND...: runs one leg in a subshell under set -e, so the leg
+# stops at its own first failing command and the script goes on with the
+# next leg. Failed legs are collected for the summary at the end.
+leg() {
+  local name="$1"
+  shift
+  ( set -e; "$@" )
+  local rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: leg '$name' (exit $rc)"
+    FAILED_LEGS+=("$name")
+  fi
+}
 
-mkdir -p "$OUT_DIR"
+build_release() {
+  echo "== configuring Release build in $BUILD_DIR"
+  cmake -S "$REPO_ROOT" -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  echo "== building micro_ag + micro_eventloop + micro_ring + micro_codec"
+  echo "   + soak_steady_state + cluster_scaling + ingest_scaling"
+  cmake --build "$BUILD_DIR" --target micro_ag micro_eventloop micro_ring \
+    micro_codec soak_steady_state cluster_scaling ingest_scaling -j >/dev/null
+  mkdir -p "$OUT_DIR"
+}
 
 run_bench() {
   local name="$1"
@@ -88,21 +108,23 @@ run_bench() {
   [ -s "$json" ] || { echo "FAIL: $json missing or empty"; exit 1; }
 }
 
-run_bench micro_ag --benchmark_min_time=0.01
-run_bench micro_eventloop --benchmark_min_time=0.01
-run_bench micro_ring --benchmark_min_time=0.01
+leg build build_release
+leg micro_ag run_bench micro_ag --benchmark_min_time=0.01
+leg micro_eventloop run_bench micro_eventloop --benchmark_min_time=0.01
+leg micro_ring run_bench micro_ring --benchmark_min_time=0.01
 # Short soak: exercises the retire-on/off comparison end to end; the
 # 10%-footprint acceptance gates only arm at >= 10000 requests.
-run_bench soak_steady_state --requests 2000 --clients 8
+leg soak_steady_state run_bench soak_steady_state --requests 2000 --clients 8
 # Cluster scaling: 1/2/4 loops, virtual-throughput scaling and merge gates.
-run_bench cluster_scaling
+leg cluster_scaling run_bench cluster_scaling
 # Trace codec: v3 vs v4 size + ingest speed, DOT parity, and the exit-code
 # gates (>=4x size, derived slow-storage >=2x, cold floor >=1.2x).
-run_bench micro_codec
+leg micro_codec run_bench micro_codec
 # Parallel ingest: decode-stage speedup gate (>=1.25x pipelined over serial
 # replay), jobs sweep, streaming merge, and byte parity at every job count.
-run_bench ingest_scaling
+leg ingest_scaling run_bench ingest_scaling
 
+validate_schema() {
 echo "== validating schema"
 python3 - "$OUT_DIR"/BENCH_*.json <<'EOF'
 import json
@@ -133,8 +155,11 @@ for path in sys.argv[1:]:
         failed = True
 sys.exit(1 if failed else 0)
 EOF
+}
+leg schema validate_schema
 
 if [ "$CHECK_MODE" = 1 ]; then
+  check_compare() {
   echo "== [check] bench_compare self-comparison sanity"
   for json in "$OUT_DIR"/BENCH_*.json; do
     python3 "$REPO_ROOT/tools/bench_compare.py" "$json" "$json" \
@@ -153,6 +178,7 @@ if [ "$CHECK_MODE" = 1 ]; then
       fi
     done
   fi
+  }
 
   # One wire leg: --serve on $1 (kernel backend) at $2 (port), agload
   # burst, gates, SIGTERM clean shutdown.
@@ -189,11 +215,15 @@ print(f"ok   {leg} wire leg: {doc['req_per_sec']:.0f} req/s, "
 EOF
   }
 
-  if [ "$(uname -s)" = "Linux" ]; then
+  check_wire_epoll() {
     echo "== [check] wire leg: AcmeAir on the epoll backend + agload burst"
     cmake --build "$BUILD_DIR" --target acmeair_cluster agload -j >/dev/null
     run_wire_leg epoll 9560
     echo "== [check] epoll wire leg OK"
+  }
+
+  check_wire_uring() {
+    cmake --build "$BUILD_DIR" --target acmeair_cluster agload -j >/dev/null
     # The uring leg needs more than "Linux": the runtime capability probe
     # must clear the host kernel (op support, no seccomp veto). Skip loudly
     # when it does not — CI on such hosts stays green and says why.
@@ -206,7 +236,10 @@ EOF
            "probe reports unavailable on this host:"
       "$BUILD_DIR/tools/acmeair_cluster" --probe | sed 's/^/     /'
     fi
+  }
 
+  check_fault() {
+    cmake --build "$BUILD_DIR" --target acmeair_cluster agload -j >/dev/null
     # Fault leg: the epoll server again, now with the default deterministic
     # fault mix injected (DESIGN.md §5i). agload drives it with per-request
     # timeouts and a retry budget; its exit status gates that every request
@@ -244,12 +277,10 @@ print(f"ok   fault leg: {doc['req_per_sec']:.0f} req/s, "
       f"{doc['retries']:.0f} retries, 0 abandoned")
 EOF
     echo "== [check] fault leg OK"
-  else
-    echo "== [check] wire legs SKIPPED: the real kernel backends need" \
-         "Linux (this is $(uname -s)); virtual-time legs above still ran"
-  fi
+  }
 
   ASAN_DIR="$BUILD_DIR-asan"
+  check_asan_retirement() {
   echo "== [check] configuring ASan+UBSan build in $ASAN_DIR"
   cmake -S "$REPO_ROOT" -B "$ASAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DASYNCG_ASAN=ON >/dev/null
@@ -266,6 +297,9 @@ EOF
   ASAN_OPTIONS=detect_leaks=0 \
     "$ASAN_DIR/bench/soak_steady_state" --requests 1000 --clients 4 >/dev/null
   echo "== [check] ASan retirement checks OK"
+  }
+
+  check_asan_codec() {
 
   echo "== [check] building trace codec leg (tests + micro_codec) under ASan"
   cmake --build "$ASAN_DIR" --target trace_replay_test trace_codec_v4_test \
@@ -277,6 +311,9 @@ EOF
   ASAN_OPTIONS=detect_leaks=0 \
     "$ASAN_DIR/bench/micro_codec" --parity-only >/dev/null
   echo "== [check] ASan trace codec checks OK"
+  }
+
+  check_asan_fault_reactor() {
 
   echo "== [check] building fault-injection + reactor leg (fault_kernel_test, epoll_kernel_test) under ASan"
   cmake --build "$ASAN_DIR" --target fault_kernel_test epoll_kernel_test -j \
@@ -292,6 +329,9 @@ EOF
   # socket pins of the shared connection state machine.
   ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/epoll_kernel_test"
   echo "== [check] ASan fault injection + reactor checks OK"
+  }
+
+  check_ingest() {
 
   # Ingest leg: the ordered-commit parity contract through the CLI tools.
   # A recorded case trace must produce byte-identical warnings and DOT
@@ -311,8 +351,10 @@ EOF
   diff -q "$OUT_DIR/ingest_serial.dot" "$OUT_DIR/ingest_jobs4.dot" \
     || { echo "FAIL: agingest --jobs 4 DOT diverged from --serial"; exit 1; }
   echo "== [check] ingest parity leg OK"
+  }
 
   TSAN_DIR="$BUILD_DIR-tsan"
+  check_tsan() {
   echo "== [check] configuring TSan build in $TSAN_DIR"
   cmake -S "$REPO_ROOT" -B "$TSAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DASYNCG_TSAN=ON >/dev/null
@@ -328,6 +370,26 @@ EOF
   echo "== [check] running the reactor matrix (multi-loop reuseport) under TSan"
   "$TSAN_DIR/tests/epoll_kernel_test"
   echo "== [check] TSan concurrency checks OK"
+  }
+
+  leg compare check_compare
+  if [ "$(uname -s)" = "Linux" ]; then
+    leg wire_epoll check_wire_epoll
+    leg wire_uring check_wire_uring
+    leg fault check_fault
+  else
+    echo "== [check] wire legs SKIPPED: the real kernel backends need" \
+         "Linux (this is $(uname -s)); virtual-time legs above still ran"
+  fi
+  leg asan_retirement check_asan_retirement
+  leg asan_codec check_asan_codec
+  leg asan_fault_reactor check_asan_fault_reactor
+  leg ingest check_ingest
+  leg tsan check_tsan
 fi
 
+if [ "${#FAILED_LEGS[@]}" -ne 0 ]; then
+  echo "== bench smoke FAILED: ${#FAILED_LEGS[@]} leg(s): ${FAILED_LEGS[*]}"
+  exit 1
+fi
 echo "== bench smoke OK"
