@@ -5,16 +5,21 @@
 //===----------------------------------------------------------------------===//
 //
 // Measures the trace codec along the two axes v4 was built for, on the
-// same AcmeAir workload Fig. 6(a) uses:
+// same AcmeAir workload Fig. 6(a) uses, against the raw-row layout v4
+// replaced. The project no longer reads or writes raw rows, so the
+// baseline is built here: the same encoder's records written as 32-byte
+// rows in the v3 file layout (header, rows, symbol section), read back
+// through buffered stdio and decoded with TraceDecoder::decode.
 //
-//   size   — record-section bytes of the v3 raw-row encoding vs the v4
+//   size   — record-section bytes of the raw-row baseline vs the v4
 //            columnar delta frames (both recorders attached to one run, so
 //            they see byte-for-byte the same event stream)
 //   speed  — time to get the recorded events back out of each file.
 //            Measured at two levels:
 //              ingest — the record-decode stage alone: file bytes back
-//                       into the TraceRecord stream, v3 buffered stdio
-//                       vs v4 zero-copy mmap frame decode. Timed warm
+//                       into the TraceRecord stream, raw rows through
+//                       buffered stdio vs v4 zero-copy mmap frame decode.
+//                       Timed warm
 //                       (page cache hot, best of N) and cold (page cache
 //                       dropped via posix_fadvise before every pass,
 //                       median of N).
@@ -37,8 +42,8 @@
 // combines the measured decode times with the measured per-byte cost of
 // this container's first-touch storage.
 //
-// Also checks replay fidelity: the DOT rendering of the v3-replayed graph
-// must be byte-identical to the v4-replayed one. Prints a table and, with
+// Also checks replay fidelity: the DOT rendering of the graph rebuilt from
+// the raw rows must be byte-identical to the v4-replayed one. Prints a table and, with
 // --json FILE, writes the BenchReport metrics tools/bench_compare.py
 // gates on (trace_bytes_v4, ingest times, size ratio, speedup, parity).
 //
@@ -93,26 +98,158 @@ void dropCaches(const std::string &Path) {
   ::close(Fd);
 }
 
+/// The raw-row baseline's writer: the encoder's records as 32-byte rows
+/// in the v3 file layout — a header (magic, version 3, record count,
+/// symbol-section offset), the rows, then the symbol section in the same
+/// format v4 uses.
+class RawRowRecorder final : public instr::AnalysisBase {
+public:
+  ~RawRowRecorder() override {
+    if (File)
+      std::fclose(File);
+  }
+  const char *analysisName() const override { return "raw-row-recorder"; }
+
+  bool open(const std::string &Path) {
+    File = std::fopen(Path.c_str(), "wb");
+    trace::TraceFileHeader H = {};
+    return File && std::fwrite(&H, sizeof(H), 1, File) == 1;
+  }
+
+  bool finalize() {
+    trace::TraceFileHeader H = {};
+    std::memcpy(H.Magic, trace::TraceMagic, sizeof(H.Magic));
+    H.Version = 3;
+    H.RecordCount = Count;
+    H.SymtabOffset = sizeof(H) + Count * sizeof(trace::TraceRecord);
+    SymbolTable &Tab = symtab();
+    uint64_t SymCount = Tab.size();
+    bool Ok = std::fwrite(&SymCount, sizeof(SymCount), 1, File) == 1;
+    for (SymbolId Id = 0; Ok && Id < SymCount; ++Id) {
+      std::string_view S = Tab.view(Id);
+      uint32_t Len = static_cast<uint32_t>(S.size());
+      Ok = std::fwrite(&Len, sizeof(Len), 1, File) == 1 &&
+           (Len == 0 || std::fwrite(S.data(), 1, Len, File) == Len);
+    }
+    Ok = Ok && std::fseek(File, 0, SEEK_SET) == 0 &&
+         std::fwrite(&H, sizeof(H), 1, File) == 1;
+    Ok = std::fclose(File) == 0 && Ok;
+    File = nullptr;
+    return Ok;
+  }
+
+  uint64_t recordBytes() const { return Count * sizeof(trace::TraceRecord); }
+
+  void onFunctionEnter(const instr::FunctionEnterEvent &E) override {
+    Enc.functionEnter(E, Rows);
+    flush();
+  }
+  void onFunctionExit(const instr::FunctionExitEvent &E) override {
+    Enc.functionExit(E, Rows);
+    flush();
+  }
+  void onApiCall(const instr::ApiCallEvent &E) override {
+    Enc.apiCall(E, Rows);
+    flush();
+  }
+  void onObjectCreate(const instr::ObjectCreateEvent &E) override {
+    Enc.objectCreate(E, Rows);
+    flush();
+  }
+  void onReactionResult(const instr::ReactionResultEvent &E) override {
+    Enc.reactionResult(E, Rows);
+    flush();
+  }
+  void onPromiseLink(const instr::PromiseLinkEvent &E) override {
+    Enc.promiseLink(E, Rows);
+    flush();
+  }
+  void onObjectRelease(const instr::ObjectReleaseEvent &E) override {
+    Enc.objectRelease(E, Rows);
+    flush();
+  }
+  void onLoopEnd(const instr::LoopEndEvent &E) override {
+    Enc.loopEnd(E, Rows);
+    flush();
+  }
+
+private:
+  void flush() {
+    std::fwrite(Rows.data(), sizeof(trace::TraceRecord), Rows.size(), File);
+    Count += Rows.size();
+    Rows.clear();
+  }
+
+  std::FILE *File = nullptr;
+  uint64_t Count = 0;
+  instr::TraceEncoder Enc;
+  std::vector<trace::TraceRecord> Rows;
+};
+
+/// The raw-row baseline's reader: validates the header, re-interns the
+/// symbol section into \p Remap, then streams the rows back through stdio
+/// in chunks of \p Chunk, handing each chunk to \p OnRows(rows, count).
+template <typename Fn>
+void readRawRows(const std::string &Path, size_t Chunk,
+                 std::vector<SymbolId> &Remap, Fn &&OnRows) {
+  auto Die = [&](const char *Why) {
+    std::fprintf(stderr, "raw-row read of %s failed: %s\n", Path.c_str(),
+                 Why);
+    std::exit(1);
+  };
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F)
+    Die("cannot open");
+  trace::TraceFileHeader H;
+  if (std::fread(&H, sizeof(H), 1, F) != 1 ||
+      std::memcmp(H.Magic, trace::TraceMagic, sizeof(H.Magic)) != 0 ||
+      H.Version != 3)
+    Die("bad header");
+  uint64_t SymCount = 0;
+  if (std::fseek(F, static_cast<long>(H.SymtabOffset), SEEK_SET) != 0 ||
+      std::fread(&SymCount, sizeof(SymCount), 1, F) != 1)
+    Die("no symbol section");
+  Remap.clear();
+  Remap.reserve(static_cast<size_t>(SymCount));
+  std::string Scratch;
+  for (uint64_t I = 0; I != SymCount; ++I) {
+    uint32_t Len = 0;
+    if (std::fread(&Len, sizeof(Len), 1, F) != 1)
+      Die("truncated symbol section");
+    Scratch.resize(Len);
+    if (Len != 0 && std::fread(Scratch.data(), 1, Len, F) != Len)
+      Die("truncated symbol section");
+    Remap.push_back(symtab().intern(Scratch));
+  }
+  if (std::fseek(F, sizeof(H), SEEK_SET) != 0)
+    Die("seek failed");
+  std::vector<trace::TraceRecord> Buf(Chunk);
+  for (uint64_t Left = H.RecordCount; Left != 0;) {
+    size_t Want = Left < Chunk ? static_cast<size_t>(Left) : Chunk;
+    if (std::fread(Buf.data(), sizeof(trace::TraceRecord), Want, F) != Want)
+      Die("truncated record section");
+    OnRows(Buf.data(), Want);
+    Left -= Want;
+  }
+  std::fclose(F);
+}
+
 /// One pass of the record-decode stage only: file bytes back into the
-/// TraceRecord stream — exactly the layer the codec version changes.
-/// v3 streams raw rows through the buffered reader; v4 decodes columnar
+/// TraceRecord stream — exactly the layer the encoding changes. The
+/// baseline streams raw rows through buffered stdio; v4 decodes columnar
 /// frames straight out of the mapping. The opcode checksum keeps the
-/// decode observable (and doubles as a cross-version sanity check).
+/// decode observable (and doubles as a cross-encoding sanity check).
 double ingestOnce(const std::string &Path, bool V4, uint64_t &Check) {
   uint64_t Sum = 0;
   std::string Err;
   auto T0 = std::chrono::steady_clock::now();
   if (!V4) {
-    trace::TraceFileReader Reader;
-    if (!Reader.open(Path, &Err)) {
-      std::fprintf(stderr, "ingest open %s failed: %s\n", Path.c_str(),
-                   Err.c_str());
-      std::exit(1);
-    }
-    trace::TraceRecord Buf[4096];
-    while (size_t N = Reader.read(Buf, 4096))
-      for (size_t I = 0; I < N; ++I)
-        Sum += Buf[I].Op;
+    std::vector<SymbolId> Remap;
+    readRawRows(Path, 4096, Remap,
+                [&](const trace::TraceRecord *R, size_t N) {
+                  for (size_t I = 0; I < N; ++I)
+                    Sum += R[I].Op;
+                });
   } else {
     trace::TraceMmapReader Map;
     if (!Map.open(Path, &Err)) {
@@ -174,18 +311,38 @@ double medianColdIngest(const std::string &Path, bool V4, int Reps) {
 }
 
 /// Replays \p Path into a fresh builder + detectors; returns the wall
-/// seconds of the replay call and the graph's DOT rendering.
-double replayOnce(const std::string &Path, instr::ReplayTransport Transport,
-                  instr::ReplayStats &Stats, std::string *Dot) {
+/// seconds of the replay and the graph's DOT rendering. The v4 file goes
+/// through replayTrace(); the raw-row baseline through TraceDecoder::decode
+/// in 1024-row chunks with a batch boundary after each.
+double replayOnce(const std::string &Path, bool V4, instr::ReplayStats &Stats,
+                  std::string *Dot) {
   ag::AsyncGBuilder Builder;
   detect::DetectorSuite Detectors;
   Detectors.attachTo(Builder);
   std::string Err;
   auto T0 = std::chrono::steady_clock::now();
-  if (!instr::replayTrace(Path, Builder, &Err, Transport, &Stats)) {
-    std::fprintf(stderr, "replay of %s failed: %s\n", Path.c_str(),
-                 Err.c_str());
-    std::exit(1);
+  if (V4) {
+    if (!instr::replayTrace(Path, Builder, &Err, instr::ReplayTransport::Auto,
+                            &Stats)) {
+      std::fprintf(stderr, "replay of %s failed: %s\n", Path.c_str(),
+                   Err.c_str());
+      std::exit(1);
+    }
+  } else {
+    instr::TraceDecoder Decoder;
+    std::vector<SymbolId> Remap;
+    Stats = instr::ReplayStats();
+    readRawRows(Path, 1024, Remap,
+                [&](const trace::TraceRecord *R, size_t N) {
+                  if (Stats.Records == 0)
+                    Decoder.setSymbolRemap(Remap);
+                  Decoder.decode(R, N, Builder);
+                  Stats.Records += N;
+                  Builder.onBatchBoundary();
+                });
+    Stats.RecordBytes = Stats.Records * sizeof(trace::TraceRecord);
+    Stats.BadRecords = Decoder.badRecords();
+    Stats.Version = 3;
   }
   double Secs = secondsSince(T0);
   if (Dot)
@@ -193,11 +350,11 @@ double replayOnce(const std::string &Path, instr::ReplayTransport Transport,
   return Secs;
 }
 
-double bestReplay(const std::string &Path, instr::ReplayTransport Transport,
-                  int Reps, instr::ReplayStats &Stats, std::string *Dot) {
+double bestReplay(const std::string &Path, bool V4, int Reps,
+                  instr::ReplayStats &Stats, std::string *Dot) {
   double Best = 1e30;
   for (int I = 0; I < Reps; ++I) {
-    double S = replayOnce(Path, Transport, Stats, I == 0 ? Dot : nullptr);
+    double S = replayOnce(Path, V4, Stats, I == 0 ? Dot : nullptr);
     if (S < Best)
       Best = S;
   }
@@ -217,8 +374,8 @@ int main(int argc, char **argv) {
 
   std::printf("==========================================================="
               "=====================\n");
-  std::printf("MICRO: trace codec — v3 raw rows vs v4 columnar delta "
-              "frames\n");
+  std::printf("MICRO: trace codec — raw-row baseline (v3 layout) vs v4 "
+              "columnar delta frames\n");
   std::printf("==========================================================="
               "=====================\n");
   std::printf("workload: AcmeAir, %llu requests, 8 closed-loop clients "
@@ -232,8 +389,9 @@ int main(int argc, char **argv) {
   std::string V4Path = TmpDir + "/micro_codec_v4.agtrace";
 
   // One run, both recorders: identical event streams by construction.
-  instr::TraceRecorder RecV3, RecV4;
-  if (!RecV3.open(V3Path, 0, 3) || !RecV4.open(V4Path, 0, 4)) {
+  RawRowRecorder RecV3;
+  instr::TraceRecorder RecV4;
+  if (!RecV3.open(V3Path) || !RecV4.open(V4Path)) {
     std::fprintf(stderr, "cannot open trace files under %s\n",
                  TmpDir.c_str());
     return 1;
@@ -278,10 +436,8 @@ int main(int argc, char **argv) {
 
   instr::ReplayStats StatsV3, StatsV4;
   std::string DotV3, DotV4;
-  double ReplayV3 = bestReplay(V3Path, instr::ReplayTransport::Stdio, Reps,
-                               StatsV3, &DotV3);
-  double ReplayV4 = bestReplay(V4Path, instr::ReplayTransport::Mmap, Reps,
-                               StatsV4, &DotV4);
+  double ReplayV3 = bestReplay(V3Path, /*V4=*/false, Reps, StatsV3, &DotV3);
+  double ReplayV4 = bestReplay(V4Path, /*V4=*/true, Reps, StatsV4, &DotV4);
   double Speedup = ReplayV4 > 0 ? ReplayV3 / ReplayV4 : 0;
   bool Parity = DotV3 == DotV4 && StatsV3.Records == StatsV4.Records &&
                 StatsV3.BadRecords == 0 && StatsV4.BadRecords == 0;

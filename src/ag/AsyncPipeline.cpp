@@ -212,7 +212,7 @@ void AsyncPipeline::consumerMain() {
   // Recording tee: the drained batches double as the trace artifact, so
   // the loop thread never pays for encoding the file.
   bool Tee = !Config.RecordPath.empty();
-  if (Tee && !RecWriter.open(Config.RecordPath, Config.RecordVersion)) {
+  if (Tee && !RecWriter.open(Config.RecordPath)) {
     RecordFailed.store(true, std::memory_order_relaxed);
     Tee = false;
   }

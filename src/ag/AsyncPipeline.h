@@ -211,8 +211,6 @@ struct PipelineConfig {
   /// off already paid for the records; the symbol section comes from the
   /// process-global table at finalize). The file is finalized at stop().
   std::string RecordPath;
-  /// File encoding for RecordPath (v4 columnar frames by default).
-  uint32_t RecordVersion = trace::TraceVersion;
 };
 
 /// The asynchronous instrumentation pipeline. Attach to a HookRegistry on

@@ -12,14 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 using namespace asyncg;
 using namespace asyncg::ag;
@@ -32,36 +26,6 @@ namespace {
 /// it to Empty. The queue's push/pop pair carries the ownership handoff,
 /// the Done store/load pair carries the decoded records back.
 enum SlotState : int { SlotEmpty = 0, SlotQueued, SlotDone, SlotError };
-
-/// Touch the leading cache lines of the next frame while the current one
-/// is being applied; the bulk of the paging is handled by the madvise
-/// below, this hides the first-line miss of each frame switch.
-inline void prefetchFrame(const uint8_t *P, size_t Bytes) {
-#if defined(__GNUC__)
-  size_t N = Bytes < 4096 ? Bytes : size_t(4096);
-  for (size_t O = 0; O < N; O += 64)
-    __builtin_prefetch(P + O, 0, 1);
-#else
-  (void)P;
-  (void)Bytes;
-#endif
-}
-
-/// Tell the kernel the record section will be read front to back soon.
-inline void adviseWillNeed(const uint8_t *P, size_t Len) {
-#if defined(__unix__) || defined(__APPLE__)
-  long Page = sysconf(_SC_PAGESIZE);
-  if (Page <= 0 || Len == 0)
-    return;
-  auto Addr = reinterpret_cast<uintptr_t>(P);
-  uintptr_t Aligned = Addr & ~static_cast<uintptr_t>(Page - 1);
-  posix_madvise(reinterpret_cast<void *>(Aligned), Len + (Addr - Aligned),
-                POSIX_MADV_WILLNEED);
-#else
-  (void)P;
-  (void)Len;
-#endif
-}
 
 } // namespace
 
@@ -78,34 +42,12 @@ struct IngestHub::Stream {
   std::string Path;
   std::unique_ptr<AsyncGBuilder> Builder;
 
-  /// Keeps the mapping (and with it Base) alive for the hub's lifetime.
-  trace::TraceMmapReader Map;
-  instr::TraceDecoder Decoder;
+  /// The replay engine: mapping, frame plan, decoder (alive for the hub's
+  /// lifetime).
+  instr::TraceStream Trace;
 
-  /// Frame plan from the pre-scan. Offsets are relative to Base, which is
-  /// the record section for validated streams and the whole image for
-  /// recovery scans. Never shrunk after prepare (decode workers read it);
-  /// truncation lowers Limit instead.
-  std::vector<trace::TraceFrameRef> Frames;
-  const uint8_t *Base = nullptr;
-  uint64_t ImageSize = 0;
-  size_t Limit = 0;
-
-  size_t NextFrame = 0;  ///< next frame to commit (in order)
   size_t NextQueued = 0; ///< next frame to hand to the decode pool
-  uint64_t WindowBase = 0;
-
-  bool Recovered = false;
-  bool Fallback = false;
   bool Drained = false;
-  std::vector<SymbolId> RecoveryRemap;
-  uint32_t RemapInstalled = 0;
-  trace::TraceRecoveryInfo Recovery;
-
-  /// Scratch for paths that materialize a frame before applying it
-  /// (recovered streams at Jobs == 1: a half-decoded frame must not leak
-  /// events into the builder).
-  std::vector<trace::TraceRecord> Scratch;
 
   /// Handoff-stat scan cursor into the builder graph's node storage.
   size_t ScanPos = 0;
@@ -149,7 +91,7 @@ struct IngestHub::DecodePool {
     if (!Queue.tryPop(T))
       return false;
     Stream::Slot &SL = T.S->Slots[T.FrameIdx % T.S->Slots.size()];
-    bool Ok = decodeFrameInto(*T.S, T.FrameIdx, SL.Records, &SL.Err);
+    bool Ok = T.S->Trace.decodeFrame(T.FrameIdx, SL.Records, &SL.Err);
     SL.State.store(Ok ? SlotDone : SlotError, std::memory_order_release);
     Cv.notify_all();
     return true;
@@ -213,216 +155,52 @@ const AsyncGraph &IngestHub::graph() const {
   return Streams.front()->Builder->graph();
 }
 
-bool IngestHub::decodeFrameInto(const Stream &S, size_t FrameIdx,
-                                std::vector<trace::TraceRecord> &Out,
-                                std::string *Err) {
-  const trace::TraceFrameRef &F = S.Frames[FrameIdx];
-  Out.clear();
-  Out.reserve(F.Records);
-  size_t Consumed = 0;
-  if (!trace::decodeV4Frame(
-          S.Base + F.Offset, F.Bytes, Consumed,
-          [&Out](const trace::TraceRecord &R) { Out.push_back(R); }, Err))
-    return false;
-  if (Consumed != F.Bytes) {
-    if (Err)
-      *Err = "corrupt trace: frame size disagrees with scan";
-    return false;
-  }
-  return true;
-}
-
 bool IngestHub::prepareStream(Stream &S, std::string *Err) {
-  IngestStreamStats &St = Stats.Streams[S.Idx];
   std::string OpenErr;
-  if (S.Map.open(S.Path, &OpenErr)) {
-    St.Version = S.Map.header().Version;
-    if (St.Version <= trace::TraceLastRawVersion) {
-      // Raw rows have no frames to parallelize; replayTrace is already the
-      // best path for them.
-      S.Fallback = true;
-      St.Fallback = true;
-      return true;
-    }
-    S.Base = S.Map.recordData();
-    S.ImageSize = S.Map.size();
-    if (!trace::scanV4Frames(S.Base, S.Map.recordByteSize(),
-                             S.Map.header().RecordCount, S.Frames, Err))
-      return false; // validated images never trip this
-    S.Decoder.setSymbolRemap(S.Map.symbolRemap());
-    St.RecordBytes = S.Map.recordByteSize();
-    adviseWillNeed(S.Base, static_cast<size_t>(S.Map.recordByteSize()));
-  } else if (OpenErr == "mmap unavailable on this platform" ||
-             OpenErr == "cannot open trace file" ||
-             OpenErr == "cannot mmap trace file") {
-    // Not a content problem; replayTrace's stdio path handles (or properly
-    // reports) these.
-    S.Fallback = true;
-    St.Fallback = true;
-    return true;
-  } else {
-    // Validation failed: torn recording. Locate the clean frame prefix
-    // through the checkpoint chain; if the image is not recoverable v4
-    // either, fall back so replayTrace reports the original failure.
-    if (!S.Map.openRaw(S.Path, nullptr) ||
-        !trace::scanV4Recovery(S.Map.data(), S.Map.size(), S.Frames,
-                               S.RecoveryRemap, &S.Recovery, nullptr)) {
-      S.Fallback = true;
-      St.Fallback = true;
-      return true;
-    }
-    S.Recovered = true;
-    St.Recovered = true;
-    St.Version = trace::TraceVersion;
-    St.DroppedTailBytes = S.Recovery.DroppedBytes;
-    S.Base = S.Map.data();
-    S.ImageSize = S.Map.size();
-    adviseWillNeed(S.Base, static_cast<size_t>(S.ImageSize));
+  if (!S.Trace.open(S.Path, &OpenErr)) {
+    if (Err)
+      *Err = S.Path + ": " + OpenErr;
+    return false;
   }
-
-  S.Limit = S.Frames.size();
-  if (Opts.PreSize) {
+  if (Opts.Builder.BuildGraph) {
     // Pre-size the graph (node/edge/tick/adjacency storage and the four
-    // node indices) and the decoder's function table from the exact record
-    // count the pre-scan established. The divisors slightly overshoot the
-    // observed record:node (~2.8), record:edge (~1.7), record:tick (~7.5)
-    // and record:funcdef (~12) ratios of the paper workloads so the
-    // *last* — and costliest — rehash/reallocation never happens
-    // mid-ingest.
-    uint64_t Records = 0;
-    for (const trace::TraceFrameRef &F : S.Frames)
-      Records += F.Records;
-    if (Opts.Builder.BuildGraph)
-      S.Builder->graph().reserveHint(
-          static_cast<size_t>(Records / 2 + 1024),
-          static_cast<size_t>(Records * 2 / 3 + 1024),
-          static_cast<size_t>(Records / 6 + 64));
-    S.Decoder.reserveFuncs(static_cast<size_t>(Records / 8 + 256));
+    // node indices) from the exact record count the pre-scan established.
+    // The divisors slightly overshoot the observed record:node (~2.8),
+    // record:edge (~1.7) and record:tick (~7.5) ratios of the paper
+    // workloads so the *last* — and costliest — rehash/reallocation never
+    // happens mid-ingest.
+    uint64_t Records = S.Trace.scannedRecords();
+    S.Builder->graph().reserveHint(static_cast<size_t>(Records / 2 + 1024),
+                                   static_cast<size_t>(Records * 2 / 3 + 1024),
+                                   static_cast<size_t>(Records / 6 + 64));
   }
   if (Opts.Jobs >= 2)
     S.Slots = std::vector<Stream::Slot>(2 * Opts.Jobs + 2);
   return true;
 }
 
-void IngestHub::syncRemap(Stream &S, const trace::TraceFrameRef &F) {
-  if (!S.Recovered || F.RemapSize == S.RemapInstalled)
-    return;
-  S.Decoder.setSymbolRemap(std::vector<SymbolId>(
-      S.RecoveryRemap.begin(), S.RecoveryRemap.begin() + F.RemapSize));
-  S.RemapInstalled = F.RemapSize;
-}
-
-bool IngestHub::handleBadFrame(Stream &S, size_t FrameIdx,
-                               const std::string &FrameErr, std::string *Err) {
-  if (!S.Recovered) {
-    if (Err)
-      *Err = S.Path + ": " + FrameErr;
-    return false;
-  }
-  // Clean-prefix guarantee: a recovered frame whose varint streams fail to
-  // decode is dropped with everything after it, exactly where
-  // recoverV4Prefix would have stopped. Frames stays intact for in-flight
-  // decode workers; Limit carries the truncation.
-  S.Limit = FrameIdx;
-  S.Recovery.TailError = FrameErr;
-  S.Recovery.DroppedBytes = S.ImageSize - S.Frames[FrameIdx].Offset;
-  Stats.Streams[S.Idx].DroppedTailBytes = S.Recovery.DroppedBytes;
-  return true;
-}
-
 bool IngestHub::pumpStream(Stream &S, std::string *Err) {
-  IngestStreamStats &St = Stats.Streams[S.Idx];
-
-  if (S.Fallback) {
-    // Whole-stream replay in this stream's first turn: raw traces carry no
-    // frame structure to window over, and the merge result is independent
-    // of interleaving anyway.
-    instr::ReplayStats RS;
-    std::string RErr;
-    if (!instr::replayTrace(S.Path, *S.Builder, &RErr,
-                            instr::ReplayTransport::Auto, &RS)) {
-      if (Err)
-        *Err = S.Path + ": " + RErr;
-      return false;
-    }
-    St.Version = RS.Version;
-    St.Records = RS.Records;
-    St.RecordBytes = RS.RecordBytes;
-    St.BadRecords = RS.BadRecords;
-    St.Recovered = RS.Recovered;
-    St.DroppedTailBytes = RS.DroppedTailBytes;
-    Stats.Records += RS.Records;
-    S.Drained = true;
-    return true;
-  }
-
-  S.WindowBase = S.Builder->ticksCommitted();
+  const uint64_t WindowBase = S.Builder->ticksCommitted();
   const bool Windowed = Streams.size() > 1;
-
-  auto Commit = [&](const trace::TraceFrameRef &F, uint64_t N) {
-    S.Builder->onBatchBoundary();
-    St.Records += N;
-    ++St.Frames;
-    if (S.Recovered)
-      St.RecordBytes += F.Bytes;
-    Stats.Records += N;
-    ++Stats.Frames;
-  };
   auto WindowClosed = [&] {
     return Windowed &&
-           S.Builder->ticksCommitted() - S.WindowBase >= Opts.WindowTicks;
+           S.Builder->ticksCommitted() - WindowBase >= Opts.WindowTicks;
   };
+  const uint64_t Records0 = S.Trace.stats().Records;
+  const size_t Frames0 = S.Trace.nextFrame();
 
+  std::string FrameErr;
+  bool Ok = true;
   if (Opts.Jobs < 2) {
-    // Inline pipelined path: frames decode straight out of the mapping
-    // under the batch memo, with the next frame prefetched during apply.
-    while (S.NextFrame < S.Limit) {
-      const trace::TraceFrameRef &F = S.Frames[S.NextFrame];
-      syncRemap(S, F);
-      if (S.NextFrame + 1 < S.Limit)
-        prefetchFrame(S.Base + S.Frames[S.NextFrame + 1].Offset,
-                      S.Frames[S.NextFrame + 1].Bytes);
-      std::string FrameErr;
-      bool Ok;
-      uint64_t Emitted = 0;
-      size_t Consumed = 0;
-      if (!S.Recovered) {
-        S.Decoder.beginBatch();
-        Ok = trace::decodeV4Frame(
-            S.Base + F.Offset, F.Bytes, Consumed,
-            [&](const trace::TraceRecord &R) {
-              S.Decoder.decodeOne(R, *S.Builder);
-              ++Emitted;
-            },
-            &FrameErr);
-        S.Decoder.endBatch();
-      } else {
-        // A torn stream's frame may fail mid-decode; materialize it first
-        // so the builder only ever sees whole frames.
-        Ok = decodeFrameInto(S, S.NextFrame, S.Scratch, &FrameErr);
-        if (Ok) {
-          S.Decoder.decodeBatch(S.Scratch.data(), S.Scratch.size(),
-                                *S.Builder);
-          Emitted = S.Scratch.size();
-        }
-      }
-      if (!Ok) {
-        if (!handleBadFrame(S, S.NextFrame, FrameErr, Err))
-          return false;
-        break;
-      }
-      Commit(F, Emitted);
-      ++S.NextFrame;
-      if (WindowClosed())
-        break;
-    }
+    Ok = S.Trace.apply(*S.Builder, &FrameErr, WindowClosed);
   } else {
     const size_t W = S.Slots.size();
-    while (S.NextFrame < S.Limit) {
+    while (!S.Trace.done()) {
       // Keep the decode window primed: up to W frames in flight.
+      const size_t Next = S.Trace.nextFrame();
       bool Pushed = false;
-      while (S.NextQueued < S.Frames.size() &&
-             S.NextQueued < S.NextFrame + W) {
+      while (S.NextQueued < S.Trace.frameCount() &&
+             S.NextQueued < Next + W) {
         Stream::Slot &QS = S.Slots[S.NextQueued % W];
         QS.State.store(SlotQueued, std::memory_order_relaxed);
         if (!Pool->Queue.tryPush({&S, S.NextQueued})) {
@@ -435,26 +213,18 @@ bool IngestHub::pumpStream(Stream &S, std::string *Err) {
       if (Pushed)
         Pool->notifyWork();
 
-      Stream::Slot &SL = S.Slots[S.NextFrame % W];
+      Stream::Slot &SL = S.Slots[Next % W];
       int State = SL.State.load(std::memory_order_acquire);
       if (State == SlotDone) {
-        const trace::TraceFrameRef &F = S.Frames[S.NextFrame];
-        syncRemap(S, F);
-        S.Decoder.decodeBatch(SL.Records.data(), SL.Records.size(),
-                              *S.Builder);
-        uint64_t N = SL.Records.size();
+        S.Trace.applyDecoded(SL.Records, *S.Builder);
         SL.State.store(SlotEmpty, std::memory_order_relaxed);
-        Commit(F, N);
-        ++S.NextFrame;
         if (WindowClosed())
           break;
         continue;
       }
       if (State == SlotError) {
-        std::string FrameErr = SL.Err;
         SL.State.store(SlotEmpty, std::memory_order_relaxed);
-        if (!handleBadFrame(S, S.NextFrame, FrameErr, Err))
-          return false;
+        Ok = S.Trace.failNext(SL.Err, &FrameErr);
         break;
       }
       // Next frame still decoding: steal a decode task instead of
@@ -464,8 +234,23 @@ bool IngestHub::pumpStream(Stream &S, std::string *Err) {
     }
   }
 
-  if (S.NextFrame >= S.Limit)
-    S.Drained = true;
+  const instr::ReplayStats RS = S.Trace.stats();
+  IngestStreamStats &St = Stats.Streams[S.Idx];
+  St.Version = RS.Version;
+  St.Records = RS.Records;
+  St.RecordBytes = RS.RecordBytes;
+  St.Frames = S.Trace.nextFrame();
+  St.BadRecords = RS.BadRecords;
+  St.Recovered = RS.Recovered;
+  St.DroppedTailBytes = RS.DroppedTailBytes;
+  Stats.Records += RS.Records - Records0;
+  Stats.Frames += S.Trace.nextFrame() - Frames0;
+  if (!Ok) {
+    if (Err)
+      *Err = S.Path + ": " + FrameErr;
+    return false;
+  }
+  S.Drained = S.Trace.done();
   return true;
 }
 
@@ -490,10 +275,6 @@ void IngestHub::scanHandoffs(Stream &S) {
         ParkedHandoffs.push_back(N.Sched);
     }
   }
-}
-
-void IngestHub::finishStream(Stream &S) {
-  Stats.Streams[S.Idx].BadRecords = S.Decoder.badRecords();
 }
 
 bool IngestHub::run(std::string *Err) {
@@ -537,10 +318,7 @@ bool IngestHub::run(std::string *Err) {
         break;
       }
       scanHandoffs(S);
-      if (S.Drained)
-        finishStream(S);
-      else
-        AllDrained = false;
+      AllDrained &= S.Drained;
     }
   }
   Pool.reset(); // joins the decode workers

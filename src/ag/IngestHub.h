@@ -18,18 +18,20 @@
 ///    the first event fires, so graph storage is pre-sized once instead of
 ///    grown through reallocation.
 ///
-///  - Pipelined decode. With Jobs == 1 the hub decodes frames inline,
-///    straight from the mapping, under the decoder's batch memo
-///    (TraceDecoder::beginBatch) and with the next frame prefetched while
-///    the current one is applied. With Jobs >= 2 it runs Jobs - 1 decode
-///    workers plus the committing thread: workers pull frame tasks from a
-///    shared MpmcQueue and decode into per-slot record buffers; the
-///    committer applies finished slots strictly in frame order, and when
-///    its next-needed slot is still pending it steals a decode task
-///    itself instead of blocking. Ordered commit keeps the decoder's
-///    cross-frame state (api assembly, symbol remap, function table)
-///    exactly as serial replay would have it, so DOT output and warning
-///    sets are byte-identical to replayTrace() at any job count.
+///  - Pipelined decode. Each stream is an instr::TraceStream, the engine
+///    replayTrace() runs on. With Jobs == 1 the hub runs that engine's
+///    apply loop (frames decoded straight from the mapping under the
+///    decoder's batch memo, next frame prefetched), stopping early when
+///    the stream's tick window closes. With Jobs >= 2 it runs Jobs - 1
+///    decode workers plus the committing thread: workers pull frame tasks
+///    from a shared MpmcQueue and call the engine's stateless
+///    decodeFrame() into per-slot record buffers; the committer hands
+///    finished slots to the engine's applyDecoded() strictly in frame
+///    order, and when its next-needed slot is still pending it steals a
+///    decode task itself instead of blocking. Ordered commit keeps the
+///    decoder's cross-frame state (api assembly, symbol remap, function
+///    table) exactly as serial replay would have it, so DOT output and
+///    warning sets are byte-identical to replayTrace() at any job count.
 ///
 ///  - Streaming merge. N input streams (e.g. one per cluster shard) are
 ///    ingested in bounded round-robin tick windows, each stream feeding
@@ -44,12 +46,10 @@
 ///    ids) for live stats; the authoritative "xloop" edges still come
 ///    from the final merge.
 ///
-/// Torn streams (crash recordings) take the recovery pre-scan
-/// (scanV4Recovery): frames are located with per-frame symbol-remap
-/// snapshots and decoded through the same pipeline; a frame that fails to
-/// decode truncates the stream there, mirroring recoverV4Prefix's
-/// clean-prefix guarantee. Raw v1..v3 traces — no frames to parallelize —
-/// fall back to replayTrace() per stream.
+/// Torn streams (crash recordings) are located by the engine's recovery
+/// pre-scan and decoded through the same pipeline; a frame that fails to
+/// decode truncates the stream there (TraceStream::failNext), exactly as
+/// replayTrace() would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +58,6 @@
 
 #include "ag/Builder.h"
 #include "ag/ShardedGraph.h"
-#include "support/TraceFormat.h"
 
 #include <memory>
 #include <string>
@@ -78,11 +77,9 @@ struct IngestOptions {
   /// across streams; the final merged graph is identical either way.
   uint32_t WindowTicks = 256;
   /// Builder template applied to every stream (promise/emitter filtering,
-  /// retirement, ...). The storage hints are superseded by the pre-scan
-  /// unless PreSize is off.
+  /// retirement, ...). The storage hints are superseded by the pre-scan,
+  /// which sizes each stream's graph from its exact record count.
   BuilderConfig Builder;
-  /// Pre-size each stream's graph from the pre-scanned record count.
-  bool PreSize = true;
 };
 
 /// Per-stream outcome counters.
@@ -90,6 +87,7 @@ struct IngestStreamStats {
   std::string Path;
   uint32_t Version = 0;
   uint64_t Records = 0;
+  /// Bytes of the record frames applied (as instr::ReplayStats).
   uint64_t RecordBytes = 0;
   uint64_t Frames = 0;
   uint64_t BadRecords = 0;
@@ -97,9 +95,6 @@ struct IngestStreamStats {
   /// checkpoint chain (Records/RecordBytes then describe the prefix).
   bool Recovered = false;
   uint64_t DroppedTailBytes = 0;
-  /// Stream went through replayTrace() (raw v1..v3, or no mmap) rather
-  /// than the frame pipeline.
-  bool Fallback = false;
 };
 
 /// Whole-run counters.
@@ -166,26 +161,14 @@ private:
   struct Stream;
   struct DecodePool;
 
-  /// Classifies \p S (validated v4 / recovered v4 / fallback) and runs
-  /// its pre-scan. Returns false with \p Err on unrecoverable failure.
+  /// Opens \p S and pre-sizes its graph from the scanned record count.
+  /// Returns false with \p Err on unrecoverable failure.
   bool prepareStream(Stream &S, std::string *Err);
   /// Commits frames of \p S until the tick window closes or the stream
   /// drains. Returns false with \p Err on unrecoverable failure.
   bool pumpStream(Stream &S, std::string *Err);
-  /// Decodes one located frame into \p Out (worker-side half; stateless).
-  static bool decodeFrameInto(const Stream &S, size_t FrameIdx,
-                              std::vector<trace::TraceRecord> &Out,
-                              std::string *Err);
-  /// Applies the truncate-or-fail policy for a frame whose varint streams
-  /// failed to decode. Returns true when the stream was truncated
-  /// (recovered streams), false for a hard error (validated streams).
-  bool handleBadFrame(Stream &S, size_t FrameIdx, const std::string &FrameErr,
-                      std::string *Err);
-  /// Installs the symbol-remap prefix frame \p F expects (recovery scans).
-  void syncRemap(Stream &S, const trace::TraceFrameRef &F);
   /// Scans new graph nodes of \p S for cross-loop handoff bookkeeping.
   void scanHandoffs(Stream &S);
-  void finishStream(Stream &S);
 
   IngestOptions Opts;
   std::vector<std::unique_ptr<Stream>> Streams;

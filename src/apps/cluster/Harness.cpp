@@ -116,7 +116,7 @@ void runShard(const ClusterConfig &Cfg, sim::ClusterKernel &Kernel,
         Cfg.RecordDir + "/shard" + std::to_string(S) + ".agtrace";
     // Non-zero shards lead their stream with a ShardInfo record so an
     // offline ShardedGraph merge can reassemble the cluster.
-    if (St.Recorder->open(Path, S, Cfg.TraceVer))
+    if (St.Recorder->open(Path, S))
       RT.hooks().attach(St.Recorder.get());
     else
       St.Recorder.reset();

@@ -98,8 +98,6 @@ struct ClusterConfig {
   /// `<RecordDir>/shard<S>.agtrace` (shard id in the stream, so the files
   /// can be replayed into a ShardedGraph merge offline).
   std::string RecordDir;
-  /// Trace file encoding for RecordDir (4 = columnar delta frames).
-  uint32_t TraceVer = trace::TraceVersion;
   /// Deterministic fault injection for every shard loop (DESIGN.md §5i).
   /// Each shard derives its own injector seed from FaultSeed, so the
   /// per-shard fault schedule is reproducible across runs.

@@ -21,6 +21,10 @@
 ///  - TraceRecorder is an AnalysisBase that encodes straight into an
 ///    `.agtrace` file: attach it to a runtime to record a workload, then
 ///    replayTrace() the file into a fresh AsyncGBuilder at zero loop cost.
+///  - TraceStream is the one replay engine: it maps an `.agtrace` file,
+///    locates its frames (finalized or torn), and applies them in file
+///    order into any AnalysisBase. replayTrace() and the ingest hub
+///    (ag/IngestHub.h) both run on it.
 ///
 /// PropertyAccessEvent and UncaughtErrorEvent are not encoded (they carry
 /// borrowed Values / uninterned strings and feed only the synchronous race
@@ -67,9 +71,9 @@ public:
   void loopEnd(const LoopEndEvent &E, std::vector<trace::TraceRecord> &Out);
   /// @}
 
-  /// Appends a v3 ShardInfo record naming the recording loop's shard.
+  /// Appends a ShardInfo record naming the recording loop's shard.
   /// Cluster streams emit it first; callers skip it for shard 0 so
-  /// single-loop traces stay byte-identical to v2.
+  /// single-loop streams carry no such record.
   void shardInfo(uint32_t Shard, std::vector<trace::TraceRecord> &Out);
 
 private:
@@ -94,7 +98,7 @@ public:
   TraceDecoder();
 
   /// Installs the old-id -> new-id symbol mapping of a cross-process trace
-  /// (TraceFileReader::symbolRemap()). Without one, ids are taken as-is
+  /// (TraceMmapReader::symbolRemap()). Without one, ids are taken as-is
   /// (in-process ring transport).
   void setSymbolRemap(std::vector<SymbolId> Remap) {
     this->Remap = std::move(Remap);
@@ -104,8 +108,8 @@ public:
   void decode(const trace::TraceRecord *Records, size_t N,
               AnalysisBase &Sink);
 
-  /// Decodes a single record (the v4 mmap replay path feeds records
-  /// straight out of the frame decoder, no intermediate buffer).
+  /// Decodes a single record (TraceStream feeds records straight out of
+  /// the frame decoder, no intermediate buffer).
   void decodeOne(const trace::TraceRecord &R, AnalysisBase &Sink) {
     feed(R, Sink);
   }
@@ -123,9 +127,9 @@ public:
                    AnalysisBase &Sink);
 
   /// Scoped enable/disable of the batch memo for callers that feed records
-  /// one at a time but still batch-wise (the single-thread pipelined
-  /// ingest decodes frames straight out of the mapping). Balance every
-  /// beginBatch with endBatch; batches must not nest.
+  /// one at a time but still batch-wise (TraceStream decodes frames
+  /// straight out of the mapping). Balance every beginBatch with endBatch;
+  /// batches must not nest.
   void beginBatch() { BatchOn = true; }
   void endBatch() { BatchOn = false; }
 
@@ -139,7 +143,7 @@ public:
   /// records are skipped).
   uint64_t badRecords() const { return BadRecords; }
 
-  /// Shard announced by a v3 ShardInfo record (0 for single-loop traces).
+  /// Shard announced by a ShardInfo record (0 for single-loop traces).
   uint32_t shard() const { return ShardId; }
 
 private:
@@ -201,17 +205,14 @@ public:
 
   /// Opens \p Path. When recording a cluster shard, pass its non-zero
   /// \p Shard and a ShardInfo record leads the stream; shard 0 writes no
-  /// such record, keeping single-loop v3 traces byte-identical to v2.
-  /// \p Version selects the file encoding (v4 columnar frames by default;
-  /// 2/3 write the raw 32-byte rows for older consumers). A non-zero
-  /// shard needs the ShardInfo opcode and therefore \p Version >= 3.
-  bool open(const std::string &Path, uint32_t Shard = 0,
-            uint32_t Version = trace::TraceVersion);
+  /// such record.
+  bool open(const std::string &Path, uint32_t Shard = 0);
   bool finalize();
   uint64_t recordCount() const { return Writer.recordCount(); }
 
-  /// Bytes of the record section written so far (the size lever v4 pulls;
-  /// excludes header/symbol sections and any still-buffered records).
+  /// Bytes of the record frames written so far (the size lever v4 pulls;
+  /// excludes the header, the symbol checkpoints and section, and any
+  /// still-buffered records). Replay reports the same sum.
   uint64_t recordBytes() const { return Writer.recordBytes(); }
 
   void onFunctionEnter(const FunctionEnterEvent &E) override;
@@ -231,23 +232,19 @@ private:
   trace::TraceFileWriter Writer;
 };
 
-/// How replayTrace reads the file back.
+/// How replayTrace reads the file back. There is one way — TraceStream
+/// maps the file and applies its frames — so Auto is the only value. The
+/// parameter stays because replayTrace's signature is a stable surface:
+/// callers that pass it (perfbench among them) build unchanged.
 enum class ReplayTransport {
-  /// v4 traces replay zero-copy from an mmap of the file; raw v1..v3
-  /// traces stream through stdio (their historical path).
   Auto,
-  /// Force buffered stdio reads (any version).
-  Stdio,
-  /// Force the mmap path (any version; raw rows are fed straight from the
-  /// mapping, v4 frames decode record-at-a-time from the mapping). Fails
-  /// where mmap is unavailable.
-  Mmap,
 };
 
 /// Decode-side counters from a replay.
 struct ReplayStats {
   uint64_t Records = 0;
-  /// Bytes of the file's record section (what the codec version controls).
+  /// Bytes of the record frames applied, symbol checkpoints excluded: for
+  /// a fully replayed file this equals TraceRecorder::recordBytes().
   uint64_t RecordBytes = 0;
   /// Records whose opcode or sequencing was invalid (skipped).
   uint64_t BadRecords = 0;
@@ -260,10 +257,105 @@ struct ReplayStats {
   uint64_t DroppedTailBytes = 0;
 };
 
+/// The replay engine: one mapped `.agtrace` stream, its frame plan, and the
+/// decoder state that carries across frames.
+///
+/// open() maps the file once. A finalized image is validated and its
+/// frames located by trace::scanV4Frames; an image whose validation fails
+/// on content (a recording torn by a crash) is located instead by
+/// trace::scanV4Recovery, each frame tagged with the symbol-remap prefix
+/// it needs. Frames are then applied strictly in file order: the decoder's
+/// batch memo is on per frame, the next frame is prefetched, and the sink
+/// gets onBatchBoundary() after every frame. A frame that fails to decode
+/// truncates a recovered stream there (the clean prefix survives) and is a
+/// hard error for a validated one.
+///
+/// decodeFrame() is the stateless half: any thread may decode any located
+/// frame while the applying thread keeps going, which is how the ingest
+/// hub's decode pool feeds applyDecoded().
+class TraceStream {
+public:
+  /// Maps \p Path and locates its frames. Returns false with \p Err set
+  /// when the file cannot be read, is not an `.agtrace`, has a version
+  /// other than trace::TraceVersion, or is a validated image whose frame
+  /// chain is corrupt.
+  bool open(const std::string &Path, std::string *Err = nullptr);
+
+  /// Applies frames in order until the stream drains or \p Stop() returns
+  /// true after a frame. Returns false with \p Err on a hard error.
+  template <typename StopFn>
+  bool apply(AnalysisBase &Sink, std::string *Err, StopFn &&Stop) {
+    while (!done()) {
+      if (!applyNext(Sink, Err))
+        return false;
+      if (Stop())
+        break;
+    }
+    return true;
+  }
+  bool applyAll(AnalysisBase &Sink, std::string *Err) {
+    return apply(Sink, Err, [] { return false; });
+  }
+
+  /// Decodes located frame \p I into \p Out (stateless; any thread).
+  bool decodeFrame(size_t I, std::vector<trace::TraceRecord> &Out,
+                   std::string *Err) const;
+
+  /// Applies the next frame from records decodeFrame() produced for it.
+  void applyDecoded(const std::vector<trace::TraceRecord> &Records,
+                    AnalysisBase &Sink);
+
+  /// The next frame failed to decode with \p FrameErr: truncates a
+  /// recovered stream there and returns true, or returns false with
+  /// \p Err set for a validated stream.
+  bool failNext(const std::string &FrameErr, std::string *Err);
+
+  bool done() const { return Next >= Limit; }
+  /// Index of the next frame to apply (= frames applied so far).
+  size_t nextFrame() const { return Next; }
+  /// Frames located by the scan (truncation does not shrink this, so
+  /// decode workers may still hold indices past a truncation point).
+  size_t frameCount() const { return Frames.size(); }
+  /// Records in all located frames (known before the first apply).
+  uint64_t scannedRecords() const { return ScannedRecords; }
+
+  /// Counters so far.
+  ReplayStats stats() const {
+    ReplayStats S = Stats;
+    S.BadRecords = Decoder.badRecords();
+    return S;
+  }
+
+private:
+  bool applyNext(AnalysisBase &Sink, std::string *Err);
+  /// Installs the symbol-remap prefix frame \p F expects (recovery only).
+  void syncRemap(const trace::TraceFrameRef &F);
+  /// Bookkeeping after frame \p F (the one at Next) reached the sink.
+  void commit(const trace::TraceFrameRef &F, AnalysisBase &Sink);
+
+  trace::TraceMmapReader Map;
+  TraceDecoder Decoder;
+  /// Frame plan. Offsets are relative to Base: the record section of a
+  /// validated image, the whole image for a recovery scan.
+  std::vector<trace::TraceFrameRef> Frames;
+  const uint8_t *Base = nullptr;
+  size_t Next = 0;
+  size_t Limit = 0;
+  uint64_t ScannedRecords = 0;
+
+  std::vector<SymbolId> RecoveryRemap;
+  uint32_t RemapInstalled = 0;
+  /// Materialized frame for recovered streams: a frame that fails
+  /// mid-decode must not leak events into the sink.
+  std::vector<trace::TraceRecord> Scratch;
+  ReplayStats Stats;
+};
+
 /// Rebuilds a run from \p Path by firing every recorded event into
-/// \p Sink (typically an ag::AsyncGBuilder). Returns false and sets
-/// \p Err on open/validation/decode failure. \p Stats, when non-null,
-/// receives decode-side counters even on partial failure.
+/// \p Sink (typically an ag::AsyncGBuilder): TraceStream::open() plus
+/// applyAll(). Returns false and sets \p Err on open/validation/decode
+/// failure. \p Stats, when non-null, receives decode-side counters even on
+/// partial failure.
 bool replayTrace(const std::string &Path, AnalysisBase &Sink,
                  std::string *Err = nullptr,
                  ReplayTransport Transport = ReplayTransport::Auto,

@@ -27,15 +27,13 @@
 /// machine: [FuncDef]* [EnterTrigger]? Enter — and ApiBase ApiExt
 /// [ApiFuncs]* [ApiInputs]*, with counts carried in ApiExt.
 ///
-/// `.agtrace` file layout, common to all versions: a 32-byte
-/// TraceFileHeader (magic + version, validated on open), a record section,
-/// then a symbol-table section (count + length-prefixed strings) so Symbol
-/// ids survive across processes; the reader re-interns them and hands the
-/// decoder an old-id -> new-id remap.
+/// `.agtrace` file layout: a 32-byte TraceFileHeader (magic + version,
+/// validated on open), a record section, then a symbol-table section
+/// (count + length-prefixed strings) so Symbol ids survive across
+/// processes; the reader re-interns them and hands the decoder an old-id
+/// -> new-id remap.
 ///
-/// Record section, v1..v3: RecordCount raw 32-byte records.
-///
-/// Record section, v4 (columnar delta compression): a sequence of
+/// Record section (v4, columnar delta compression): a sequence of
 /// batch frames. Each frame is self-contained — per-opcode prediction
 /// state resets at the frame boundary — so frames decode independently
 /// and a truncated tail loses at most one frame. Frame layout:
@@ -66,7 +64,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -225,13 +222,11 @@ inline bool readVarint(const uint8_t *&P, const uint8_t *End, uint64_t &V) {
 
 constexpr char TraceMagic[8] = {'A', 'G', 'T', 'R', 'A', 'C', 'E', '\0'};
 /// v2 added the ObjectRelease opcode; v3 added the ShardInfo opcode for
-/// cluster-mode shard streams; v4 switched the record section to columnar
-/// delta-compressed batch frames (same records, same symbol section).
-/// Older traces still replay — the reader accepts every version since v1.
+/// cluster-mode shard streams; v4 switched the record section from raw
+/// 32-byte rows to columnar delta-compressed batch frames (same records,
+/// same symbol section). Only v4 is written or read: any other version
+/// fails to open with "unsupported trace version".
 constexpr uint32_t TraceVersion = 4;
-constexpr uint32_t TraceMinVersion = 1;
-/// Last version whose record section is raw 32-byte rows.
-constexpr uint32_t TraceLastRawVersion = 3;
 
 /// On-disk header; 32 bytes like a record.
 struct TraceFileHeader {
@@ -480,10 +475,12 @@ bool decodeV4Frame(const uint8_t *P, size_t Avail, size_t &Consumed,
   return true;
 }
 
-/// Streams records into an `.agtrace` file. finalize() appends the symbol
-/// table (everything interned so far, so every id any record references is
-/// covered) and patches the header. v4 batches records into columnar
-/// frames; v1..v3 write raw rows.
+/// Streams records into an `.agtrace` file, batched into columnar frames.
+/// A symbol-checkpoint frame precedes any record frame that references new
+/// symbols and the file is flushed after every frame, so a recording cut
+/// off by a crash keeps a decodable frame-aligned prefix. finalize()
+/// appends the symbol table (everything interned so far, so every id any
+/// record references is covered) and patches the header.
 class TraceFileWriter {
 public:
   TraceFileWriter() = default;
@@ -492,13 +489,11 @@ public:
   TraceFileWriter(const TraceFileWriter &) = delete;
   TraceFileWriter &operator=(const TraceFileWriter &) = delete;
 
-  /// Opens \p Path and writes a placeholder header. \p Version selects the
-  /// record-section encoding (TraceMinVersion..TraceVersion). Returns
-  /// false on I/O failure or an unsupported version.
-  bool open(const std::string &Path, uint32_t Version = TraceVersion);
+  /// Opens \p Path and writes a placeholder header. Returns false on I/O
+  /// failure.
+  bool open(const std::string &Path);
 
   bool isOpen() const { return File != nullptr; }
-  uint32_t version() const { return Version; }
 
   /// Appends \p N records. Returns false on I/O failure.
   bool append(const TraceRecord *Records, size_t N);
@@ -509,14 +504,9 @@ public:
 
   uint64_t recordCount() const { return Count; }
 
-  /// Bytes of the record section written so far (excludes header, symbol
-  /// section, and any still-buffered v4 records).
+  /// Bytes of the record frames written so far (excludes the header, the
+  /// symbol checkpoints and section, and any still-buffered records).
   uint64_t recordBytes() const { return RecordSectionBytes; }
-
-  /// v4 crash tolerance (on by default): interleave symbol-checkpoint
-  /// frames and flush after every frame so a torn file keeps a decodable
-  /// frame-aligned prefix. Off restores buffer-at-will writing (tests).
-  void setCheckpoints(bool On) { Checkpoints = On; }
 
 private:
   bool flushFrame();
@@ -525,102 +515,22 @@ private:
   std::FILE *File = nullptr;
   uint64_t Count = 0;
   uint64_t RecordSectionBytes = 0;
-  uint32_t Version = TraceVersion;
   /// High-water mark of symbol ids already covered by a checkpoint.
   uint64_t CkptSyms = 0;
-  bool Checkpoints = true;
 
-  /// v4 batching state.
+  /// Batching state.
   std::vector<TraceRecord> Pending;
   std::vector<uint8_t> FrameBuf;
   V4FrameEncoder Encoder;
 };
 
-/// Reads an `.agtrace` file through stdio: validates magic/version, loads
-/// the symbol section, and streams records back. Understands both the raw
-/// (v1..v3) and the columnar (v4) record sections.
-class TraceFileReader {
-public:
-  TraceFileReader() = default;
-  ~TraceFileReader();
-
-  TraceFileReader(const TraceFileReader &) = delete;
-  TraceFileReader &operator=(const TraceFileReader &) = delete;
-
-  /// Opens and validates \p Path; loads the symbol section and interns
-  /// every symbol into the current process's table. On failure returns
-  /// false and, when \p Err is non-null, describes the problem.
-  bool open(const std::string &Path, std::string *Err = nullptr);
-
-  /// Reads up to \p Max records; returns the count (0 at end of trace or
-  /// on a corrupt v4 frame — check error() to tell the two apart).
-  size_t read(TraceRecord *Out, size_t Max);
-
-  uint64_t recordCount() const { return Header.RecordCount; }
-  uint32_t version() const { return Header.Version; }
-
-  /// Non-empty once a corrupt record section stopped read() early.
-  const std::string &error() const { return ReadError; }
-
-  /// Maps a symbol id as written by the recording process to the id of the
-  /// same string in this process's table.
-  const std::vector<SymbolId> &symbolRemap() const { return Remap; }
-
-private:
-  bool loadNextFrame();
-
-  std::FILE *File = nullptr;
-  TraceFileHeader Header = {};
-  uint64_t ReadSoFar = 0;
-  uint64_t FileSize = 0;
-  std::vector<SymbolId> Remap;
-  std::string ReadError;
-
-  /// v4 state: decoded records of the current frame + raw frame scratch.
-  std::vector<TraceRecord> Decoded;
-  size_t DecodedPos = 0;
-  std::vector<uint8_t> FrameBuf;
-  uint64_t RecordBytesLeft = 0;
-};
-
 /// Validates an `.agtrace` header + symbol section against the file size
-/// and re-interns the symbols. Shared by the stdio and mmap readers.
-/// \p Bytes/\p Size cover the whole file image. Returns false with \p Err
-/// set on any structural problem.
+/// and re-interns the symbols. \p Bytes/\p Size cover the whole file image.
+/// Returns false with \p Err set on any structural problem, including a
+/// version other than TraceVersion ("unsupported trace version").
 bool validateTraceImage(const uint8_t *Bytes, uint64_t Size,
                         TraceFileHeader &Header,
                         std::vector<SymbolId> &Remap, std::string *Err);
-
-/// Outcome counters of a torn-tail prefix recovery scan.
-struct TraceRecoveryInfo {
-  uint64_t Frames = 0;      ///< record frames recovered
-  uint64_t Records = 0;     ///< records recovered
-  uint64_t RecordBytes = 0; ///< bytes of the recovered record frames
-  uint64_t DroppedBytes = 0; ///< tail bytes abandoned after the last clean frame
-  /// Why the scan stopped early (empty: the image ended exactly on a frame
-  /// boundary, nothing was lost).
-  std::string TailError;
-};
-
-/// Salvages the clean frame-aligned prefix of a v4 `.agtrace` image whose
-/// strict open failed — a recording cut off by a crash (no final symbol
-/// table, header counts still zero), or a finalized file with a damaged
-/// tail. Walks frames from the end of the header: symbol-checkpoint frames
-/// extend \p Remap (re-interning into this process's table), record frames
-/// are decoded in full and handed to \p OnFrame(Records, Count) — a frame
-/// that does not decode completely is discarded, so the caller only ever
-/// sees whole frames. Stops at the first torn or corrupt frame and reports
-/// what was dropped in \p Info.
-///
-/// Returns true when the image is recoverable v4 — intact 8-byte magic and
-/// a v4 version field (a cut inside the 32-byte header counts, with an
-/// empty prefix) — even if zero frames survive. Returns false with \p Err
-/// set when the image is not an `.agtrace` at all or predates checkpoint
-/// recovery (raw v1..v3).
-bool recoverV4Prefix(
-    const uint8_t *Bytes, uint64_t Size, std::vector<SymbolId> &Remap,
-    const std::function<void(const TraceRecord *, size_t)> &OnFrame,
-    TraceRecoveryInfo *Info = nullptr, std::string *Err = nullptr);
 
 /// One record frame located by a pre-scan of a v4 record section. The scan
 /// reads only frame headers, so locating every frame of a trace is O(frame
@@ -650,29 +560,30 @@ struct TraceFrameRef {
 bool scanV4Frames(const uint8_t *P, size_t Avail, uint64_t RecordCount,
                   std::vector<TraceFrameRef> &Out, std::string *Err = nullptr);
 
-/// The recovery twin of scanV4Frames: walks the frame chain of a torn or
-/// truncated v4 image exactly like recoverV4Prefix — growing \p Remap from
-/// the interleaved symbol checkpoints and stopping at the first torn or
-/// structurally corrupt frame — but records frame boundaries instead of
-/// decoding, so a parallel ingester can decode the located frames
-/// concurrently. Each emitted TraceFrameRef carries the remap prefix
-/// length in force when it is applied. \p Info receives the same counters
-/// recoverV4Prefix reports, except that Records/RecordBytes describe the
-/// *located* frames: a frame whose varint streams later fail to decode
-/// must be discarded along with everything after it, mirroring
-/// recoverV4Prefix's clean-prefix guarantee. Return value and \p Err
-/// follow recoverV4Prefix.
+/// The recovery twin of scanV4Frames, for a v4 image whose strict
+/// validation failed — a recording cut off by a crash (no final symbol
+/// table, header counts still zero), or a finalized file with a damaged
+/// tail. Walks frames from the end of the header: symbol-checkpoint frames
+/// extend \p Remap (re-interning into this process's table), record
+/// frames are located, each tagged with the remap prefix length in force
+/// when it is applied. Stops at the first torn or structurally corrupt
+/// frame and sets \p DroppedBytes to the bytes after the last located
+/// frame. A located frame whose varint streams later fail to decode must
+/// be discarded along with everything after it (the clean-prefix
+/// guarantee).
+///
+/// Returns true when the image is recoverable v4 — intact 8-byte magic and
+/// a v4 version field (a cut inside the 32-byte header counts, with an
+/// empty prefix) — even if zero frames survive. Returns false with \p Err
+/// set when the image is not an `.agtrace` at all or has another version.
 bool scanV4Recovery(const uint8_t *Bytes, uint64_t Size,
                     std::vector<TraceFrameRef> &Out,
-                    std::vector<SymbolId> &Remap,
-                    TraceRecoveryInfo *Info = nullptr,
+                    std::vector<SymbolId> &Remap, uint64_t &DroppedBytes,
                     std::string *Err = nullptr);
 
 /// Memory-maps an `.agtrace` file read-only and exposes the validated
 /// header, symbol remap, and the raw record-section bytes for zero-copy
-/// decoding. Falls back cleanly (open() returns false with
-/// "mmap unavailable") on platforms without mmap; callers then use
-/// TraceFileReader.
+/// decoding.
 class TraceMmapReader {
 public:
   TraceMmapReader() = default;
@@ -681,12 +592,17 @@ public:
   TraceMmapReader(const TraceMmapReader &) = delete;
   TraceMmapReader &operator=(const TraceMmapReader &) = delete;
 
+  /// openRaw() followed by validate(); unmaps again if validation fails.
   bool open(const std::string &Path, std::string *Err = nullptr);
 
-  /// Maps \p Path without any validation — the input to a prefix-recovery
-  /// scan of a torn file (recoverV4Prefix). header()/symbolRemap()/
-  /// recordData() are meaningless after openRaw; use data()/size().
+  /// Maps \p Path without any validation. data()/size() are usable at
+  /// once; header()/symbolRemap()/recordData() only after validate().
   bool openRaw(const std::string &Path, std::string *Err = nullptr);
+
+  /// Validates the mapped image (validateTraceImage), filling header() and
+  /// symbolRemap(). The mapping stays in place either way, so a failed
+  /// image can still go to a recovery scan.
+  bool validate(std::string *Err = nullptr);
 
   bool isOpen() const { return Base != nullptr; }
 
@@ -706,6 +622,8 @@ public:
   }
 
 private:
+  void unmap();
+
   const uint8_t *Base = nullptr;
   uint64_t Size = 0;
   TraceFileHeader Header = {};

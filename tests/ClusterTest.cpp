@@ -221,7 +221,7 @@ TEST(TraceV3, ShardInfoRoundTripsAndShardZeroStaysV2) {
     ASSERT_TRUE(Rec.finalize());
   }
   // Shard 0 writes no ShardInfo record: explicit and default are
-  // byte-identical, i.e. exactly the v2 stream.
+  // byte-identical, i.e. a stream with no shard metadata at all.
   EXPECT_EQ(slurp(P0), slurp(P0x));
 
   {
@@ -235,16 +235,32 @@ TEST(TraceV3, ShardInfoRoundTripsAndShardZeroStaysV2) {
     ASSERT_TRUE(Rec.finalize());
   }
 
-  // Replay the shard-3 trace by hand so the decoder is inspectable.
-  trace::TraceFileReader Reader;
+  // Replay the shard-3 trace by hand, through the public frame primitives,
+  // so the decoder is inspectable.
+  trace::TraceMmapReader Map;
   std::string Err;
-  ASSERT_TRUE(Reader.open(P3, &Err)) << Err;
+  ASSERT_TRUE(Map.open(P3, &Err)) << Err;
+  std::vector<trace::TraceFrameRef> Frames;
+  ASSERT_TRUE(trace::scanV4Frames(Map.recordData(), Map.recordByteSize(),
+                                  Map.header().RecordCount, Frames, &Err))
+      << Err;
   instr::TraceDecoder Decoder;
-  Decoder.setSymbolRemap(Reader.symbolRemap());
+  Decoder.setSymbolRemap(Map.symbolRemap());
   ag::AsyncGBuilder Builder;
-  trace::TraceRecord Buf[256];
-  while (size_t N = Reader.read(Buf, 256))
-    Decoder.decode(Buf, N, Builder);
+  uint64_t Records = 0;
+  for (const trace::TraceFrameRef &F : Frames) {
+    size_t Consumed = 0;
+    ASSERT_TRUE(trace::decodeV4Frame(
+        Map.recordData() + F.Offset, F.Bytes, Consumed,
+        [&](const trace::TraceRecord &R) {
+          Decoder.decodeOne(R, Builder);
+          ++Records;
+        },
+        &Err))
+        << Err;
+    EXPECT_EQ(Consumed, F.Bytes);
+  }
+  EXPECT_EQ(Records, Map.header().RecordCount);
   EXPECT_EQ(Decoder.shard(), 3u);
   EXPECT_EQ(Decoder.badRecords(), 0u);
   EXPECT_GT(Builder.graph().nodes().size(), 0u);

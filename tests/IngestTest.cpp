@@ -15,7 +15,9 @@
 ///    ShardedGraph reference vs the harness's own merged graph;
 ///  - torn-tail traces: the hub's clean-prefix recovery vs the serial
 ///    recovered replay, again across job counts;
-///  - raw v2/v3 traces: the replayTrace() fallback path, flagged as such.
+///  - record-byte accounting: replayTrace() and the hub report the bytes
+///    of the record frames they applied, which for a whole trace is the
+///    recorder's own recordBytes(), finalized or torn.
 ///
 /// Plus unit and two-thread stress coverage for the MpmcQueue the decode
 /// pool schedules through. The bench smoke --check leg re-runs this suite
@@ -41,6 +43,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -73,7 +76,10 @@ std::vector<uint8_t> slurpBytes(const std::string &Path) {
 void spitBytes(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   ASSERT_NE(F, nullptr) << Path;
-  ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+  // fwrite's buffer must not be null even for zero bytes.
+  if (!Bytes.empty()) {
+    ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+  }
   std::fclose(F);
 }
 
@@ -228,7 +234,6 @@ TEST_P(IngestCaseParity, EveryJobCountMatchesSerialReplay) {
     EXPECT_EQ(Dot, WantDot);
     EXPECT_EQ(Warn, WantWarn);
     ASSERT_EQ(Stats.Streams.size(), 1u);
-    EXPECT_FALSE(Stats.Streams[0].Fallback);
     EXPECT_FALSE(Stats.Streams[0].Recovered);
     EXPECT_EQ(Stats.Records, Stats.Streams[0].Records);
   }
@@ -398,8 +403,9 @@ TEST(IngestRecovery, TornTailMatchesSerialRecoveredReplay) {
       EXPECT_EQ(Warn, WantWarn);
       ASSERT_EQ(Stats.Streams.size(), 1u);
       EXPECT_TRUE(Stats.Streams[0].Recovered);
-      EXPECT_FALSE(Stats.Streams[0].Fallback);
       EXPECT_EQ(Stats.Streams[0].Records, RStats.Records);
+      EXPECT_EQ(Stats.Streams[0].RecordBytes, RStats.RecordBytes);
+      EXPECT_EQ(Stats.Streams[0].DroppedTailBytes, RStats.DroppedTailBytes);
       EXPECT_GT(Stats.Streams[0].DroppedTailBytes, 0u);
     }
     std::remove(Torn.c_str());
@@ -408,30 +414,105 @@ TEST(IngestRecovery, TornTailMatchesSerialRecoveredReplay) {
 }
 
 //===----------------------------------------------------------------------===//
-// Raw-version fallback
+// Record-byte accounting
 //===----------------------------------------------------------------------===//
 
-TEST(IngestFallback, RawTracesGoThroughReplayTrace) {
-  const CaseDef &Def = allCases()[0];
-  for (uint32_t Version : {2u, 3u}) {
-    SCOPED_TRACE("v" + std::to_string(Version));
-    std::string Path = tempPath("raw_v" + std::to_string(Version));
-    instr::TraceRecorder Rec;
-    ASSERT_TRUE(Rec.open(Path, /*Shard=*/0, Version));
-    runCaseWith(Def, /*Fixed=*/false, Rec);
-    ASSERT_TRUE(Rec.finalize());
-
-    std::string WantDot, WantWarn;
-    serialReference(Path, WantDot, WantWarn);
+/// Replays \p Path through replayTrace() and the hub at jobs 1 and 2; each
+/// must report \p WantBytes record bytes and \p WantRecords records.
+void expectRecordBytes(const std::string &Path, uint64_t WantRecords,
+                       uint64_t WantBytes, bool Torn) {
+  ag::AsyncGBuilder Serial;
+  std::string Err;
+  instr::ReplayStats RStats;
+  ASSERT_TRUE(instr::replayTrace(Path, Serial, &Err,
+                                 instr::ReplayTransport::Auto, &RStats))
+      << Err;
+  EXPECT_EQ(RStats.Recovered, Torn);
+  EXPECT_EQ(RStats.Records, WantRecords);
+  EXPECT_EQ(RStats.RecordBytes, WantBytes);
+  EXPECT_EQ(RStats.DroppedTailBytes, 0u);
+  for (unsigned Jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
     std::string Dot, Warn;
     ag::IngestStats Stats;
-    hubResult({Path}, 4, Dot, Warn, &Stats);
-    EXPECT_EQ(Dot, WantDot);
-    EXPECT_EQ(Warn, WantWarn);
+    hubResult({Path}, Jobs, Dot, Warn, &Stats);
     ASSERT_EQ(Stats.Streams.size(), 1u);
-    EXPECT_TRUE(Stats.Streams[0].Fallback);
-    std::remove(Path.c_str());
+    EXPECT_EQ(Stats.Streams[0].Recovered, Torn);
+    EXPECT_EQ(Stats.Streams[0].Records, WantRecords);
+    EXPECT_EQ(Stats.Streams[0].RecordBytes, WantBytes);
   }
+}
+
+/// The finalized trace at \p Path, then a torn copy of it cut where a crash
+/// after the last frame flush leaves it (no symbol section, header counts
+/// still zero): both replay every record frame, so both report exactly
+/// the recorder's record bytes — symbol checkpoints excluded.
+void checkRecordBytes(const std::string &Path,
+                      const instr::TraceRecorder &Rec) {
+  {
+    SCOPED_TRACE("finalized");
+    expectRecordBytes(Path, Rec.recordCount(), Rec.recordBytes(), false);
+  }
+  std::vector<uint8_t> Image = slurpBytes(Path);
+  trace::TraceFileHeader H;
+  ASSERT_GE(Image.size(), sizeof(H));
+  std::memcpy(&H, Image.data(), sizeof(H));
+  ASSERT_LT(H.SymtabOffset, Image.size());
+  Image.resize(static_cast<size_t>(H.SymtabOffset));
+  for (size_t I = 16; I < 32; ++I)
+    Image[I] = 0;
+  std::string Torn = Path + ".torn";
+  spitBytes(Torn, Image);
+  {
+    SCOPED_TRACE("torn");
+    expectRecordBytes(Torn, Rec.recordCount(), Rec.recordBytes(), true);
+  }
+  std::remove(Torn.c_str());
+}
+
+TEST(RecordBytes, TableICaseCountsRecordFramesOnly) {
+  const CaseDef *Def = nullptr;
+  for (const CaseDef &D : allCases())
+    if (D.Name == "SO-38140113")
+      Def = &D;
+  ASSERT_NE(Def, nullptr);
+  std::string Path = tempPath("bytes_case");
+  instr::TraceRecorder Rec;
+  ASSERT_TRUE(Rec.open(Path));
+  runCaseWith(*Def, /*Fixed=*/false, Rec);
+  ASSERT_TRUE(Rec.finalize());
+  checkRecordBytes(Path, Rec);
+  std::remove(Path.c_str());
+}
+
+TEST(RecordBytes, AcmeAirCountsRecordFramesOnly) {
+  using namespace asyncg::jsrt;
+  using namespace asyncg::acmeair;
+  std::string Path = tempPath("bytes_acmeair");
+  instr::TraceRecorder Rec;
+  ASSERT_TRUE(Rec.open(Path));
+  {
+    Runtime RT;
+    AppConfig ACfg;
+    AcmeAirApp App(RT, ACfg);
+    WorkloadConfig WCfg;
+    WCfg.TotalRequests = 800;
+    WCfg.Clients = 8;
+    WorkloadDriver Driver(RT, ACfg.Port, WCfg);
+    RT.hooks().attach(&Rec);
+    Function Main = RT.makeBuiltin("main", [&](Runtime &, const CallArgs &) {
+      App.start(JSLOC);
+      Driver.start();
+      return Completion::normal();
+    });
+    RT.main(Main);
+    ASSERT_TRUE(Rec.finalize());
+    ASSERT_EQ(Driver.completed(), 800u);
+  }
+  // Several frames, so the checkpoints interleave rather than lead.
+  ASSERT_GT(Rec.recordCount(), 2 * trace::FrameRecords);
+  checkRecordBytes(Path, Rec);
+  std::remove(Path.c_str());
 }
 
 } // namespace

@@ -9,12 +9,14 @@
 /// `.agtrace` trace — or built off-thread through the async pipeline — must
 /// be byte-identical (as DOT) to the graph the builder produces inline.
 /// Runs the check over every Table-I case, buggy and fixed variants. Also
-/// covers trace-file validation (bad magic, wrong version).
+/// covers trace-file validation (bad magic, wrong version — through
+/// replayTrace, the ingest hub and agtrace_inspect).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
 #include "ag/AsyncPipeline.h"
+#include "ag/IngestHub.h"
 #include "cases/Case.h"
 #include "instr/TraceCodec.h"
 #include "viz/Dot.h"
@@ -23,7 +25,12 @@
 
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
+#include <vector>
+
+#include <sys/wait.h>
 
 using namespace asyncg;
 using namespace asyncg::cases;
@@ -115,25 +122,83 @@ TEST(TraceFile, RejectsBadMagic) {
 }
 
 TEST(TraceFile, RejectsWrongVersion) {
-  std::string Path = tempTracePath("badversion");
-  // Start from a valid (empty) trace, then corrupt the version field.
+  // Only v4 is read. An image in the retired raw-row layout (header,
+  // 32-byte rows, symbol section), whatever its version field says, must
+  // fail cleanly everywhere a trace is opened.
+  const CaseDef &Def = allCases()[0];
+  std::string Good = tempTracePath("goodversion");
   {
-    trace::TraceFileWriter W;
-    ASSERT_TRUE(W.open(Path));
-    ASSERT_TRUE(W.finalize());
+    instr::TraceRecorder Rec;
+    ASSERT_TRUE(Rec.open(Good));
+    runCaseWith(Def, /*Fixed=*/false, Rec);
+    ASSERT_TRUE(Rec.finalize());
   }
-  std::FILE *F = std::fopen(Path.c_str(), "r+b");
-  ASSERT_NE(F, nullptr);
-  uint32_t Bogus = trace::TraceVersion + 41;
-  std::fseek(F, offsetof(trace::TraceFileHeader, Version), SEEK_SET);
-  std::fwrite(&Bogus, sizeof(Bogus), 1, F);
-  std::fclose(F);
+  // The record stream of the same run, as the raw rows a v1..v3 writer
+  // would have laid down (the encoder is deterministic per run).
+  std::vector<trace::TraceRecord> Rows;
+  {
+    trace::TraceMmapReader Map;
+    std::string Err;
+    ASSERT_TRUE(Map.open(Good, &Err)) << Err;
+    std::vector<trace::TraceFrameRef> Frames;
+    ASSERT_TRUE(trace::scanV4Frames(Map.recordData(), Map.recordByteSize(),
+                                    Map.header().RecordCount, Frames, &Err));
+    for (const trace::TraceFrameRef &F : Frames) {
+      size_t Consumed = 0;
+      ASSERT_TRUE(trace::decodeV4Frame(
+          Map.recordData() + F.Offset, F.Bytes, Consumed,
+          [&](const trace::TraceRecord &R) { Rows.push_back(R); }, &Err));
+    }
+  }
+  ASSERT_FALSE(Rows.empty());
+  std::remove(Good.c_str());
 
-  ag::AsyncGBuilder B;
-  std::string Err;
-  EXPECT_FALSE(instr::replayTrace(Path, B, &Err));
-  EXPECT_NE(Err.find("unsupported trace version"), std::string::npos) << Err;
-  std::remove(Path.c_str());
+  for (uint32_t Version : {1u, 2u, 3u, trace::TraceVersion + 41}) {
+    SCOPED_TRACE("v" + std::to_string(Version));
+    std::string Path = tempTracePath("v" + std::to_string(Version));
+    {
+      trace::TraceFileHeader H = {};
+      std::memcpy(H.Magic, trace::TraceMagic, sizeof(H.Magic));
+      H.Version = Version;
+      H.RecordCount = Rows.size();
+      H.SymtabOffset = sizeof(H) + Rows.size() * sizeof(trace::TraceRecord);
+      uint64_t NoSymbols = 0;
+      std::FILE *F = std::fopen(Path.c_str(), "wb");
+      ASSERT_NE(F, nullptr);
+      ASSERT_EQ(std::fwrite(&H, sizeof(H), 1, F), 1u);
+      ASSERT_EQ(std::fwrite(Rows.data(), sizeof(trace::TraceRecord),
+                            Rows.size(), F),
+                Rows.size());
+      ASSERT_EQ(std::fwrite(&NoSymbols, sizeof(NoSymbols), 1, F), 1u);
+      std::fclose(F);
+    }
+
+    ag::AsyncGBuilder B;
+    std::string Err;
+    EXPECT_FALSE(instr::replayTrace(Path, B, &Err));
+    EXPECT_NE(Err.find("unsupported trace version"), std::string::npos)
+        << Err;
+
+    for (unsigned Jobs : {1u, 2u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+      ag::IngestOptions Opts;
+      Opts.Jobs = Jobs;
+      ag::IngestHub Hub(Opts);
+      Hub.addFile(Path);
+      std::string HubErr;
+      EXPECT_FALSE(Hub.run(&HubErr));
+      EXPECT_NE(HubErr.find("unsupported trace version"), std::string::npos)
+          << HubErr;
+    }
+
+    // The inspector rejects it with its error status (1), not a crash.
+    std::string Cmd = std::string(ASYNCG_AGTRACE_INSPECT) + " '" + Path +
+                      "' > /dev/null 2>&1";
+    int Status = std::system(Cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(Status)) << Status;
+    EXPECT_EQ(WEXITSTATUS(Status), 1);
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(TraceFile, RejectsMissingFile) {

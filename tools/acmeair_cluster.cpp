@@ -11,8 +11,7 @@
 //   acmeair_cluster [--loops N] [--requests N] [--clients N] [--seed N]
 //                   [--kernel sim|epoll|uring|auto] [--port N] [--probe]
 //                   [--sync] [--no-gossip] [--baseline] [--dot FILE]
-//                   [--record-dir DIR] [--trace-version N]
-//                   [--sample-budget PCT] [--degrade]
+//                   [--record-dir DIR] [--sample-budget PCT] [--degrade]
 //                   [--fault-spec kind:rate,...|default] [--fault-seed N]
 //
 // --kernel epoll or uring (Linux only) swaps the virtual-time kernel for a
@@ -23,9 +22,8 @@
 // --kernel auto probes uring -> epoll -> sim and prints why it chose.
 // --probe prints each backend's availability and exits.
 //
-// --record-dir writes one `.agtrace` per shard (shard<S>.agtrace) in the
-// chosen --trace-version (default v4 columnar frames) for offline replay
-// and merge. --sample-budget caps each shard pipeline's instrumentation
+// --record-dir writes one `.agtrace` per shard (shard<S>.agtrace, v4
+// columnar frames) for offline replay and merge. --sample-budget caps each shard pipeline's instrumentation
 // overhead at PCT percent of loop wall time; the dropped decoration
 // coverage is reported per shard.
 //
@@ -129,8 +127,6 @@ int main(int argc, char **argv) {
       Cfg.Gossip = false;
     else if (!std::strcmp(argv[I], "--baseline"))
       Cfg.Instrument = false;
-    else if (!std::strcmp(argv[I], "--trace-version"))
-      Cfg.TraceVer = static_cast<uint32_t>(Num("--trace-version"));
     else if (!std::strcmp(argv[I], "--sample-budget")) {
       if (I + 1 >= argc) {
         std::fprintf(stderr, "--sample-budget needs a value\n");
@@ -171,8 +167,7 @@ int main(int argc, char **argv) {
                    " [--probe]\n"
                    "          [--sync] [--no-gossip] [--baseline]"
                    " [--dot FILE]\n"
-                   "          [--record-dir DIR] [--trace-version N]"
-                   " [--sample-budget PCT]\n"
+                   "          [--record-dir DIR] [--sample-budget PCT]\n"
                    "          [--degrade] [--fault-spec kind:rate,...]"
                    " [--fault-seed N]\n",
                    argv[0]);
@@ -196,18 +191,8 @@ int main(int argc, char **argv) {
                          "to serve\n");
     return 2;
   }
-  if (Cfg.TraceVer < 2 || Cfg.TraceVer > trace::TraceVersion) {
-    std::fprintf(stderr, "--trace-version must be 2..%u\n",
-                 trace::TraceVersion);
-    return 2;
-  }
   if (Cfg.SampleBudgetPct < 0 || Cfg.SampleBudgetPct > 100) {
     std::fprintf(stderr, "--sample-budget must be in [0, 100]\n");
-    return 2;
-  }
-  if (!Cfg.RecordDir.empty() && Cfg.Loops > 1 && Cfg.TraceVer < 3) {
-    std::fprintf(stderr, "--record-dir with --loops > 1 needs "
-                         "--trace-version >= 3 (ShardInfo records)\n");
     return 2;
   }
   if (Cfg.Loops == 0 || Cfg.Loops > jsrt::MaxShardId) {
@@ -251,7 +236,7 @@ int main(int argc, char **argv) {
     for (const cluster::ShardResult &SR : R.Shards)
       Bytes += SR.RecordedBytes;
     std::printf("recorded: v%u traces, %llu record bytes -> %s/shard*.agtrace\n",
-                Cfg.TraceVer, static_cast<unsigned long long>(Bytes),
+                trace::TraceVersion, static_cast<unsigned long long>(Bytes),
                 Cfg.RecordDir.c_str());
   }
   if (Cfg.SampleBudgetPct > 0) {

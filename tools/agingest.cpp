@@ -198,10 +198,9 @@ int main(int Argc, char **Argv) {
                    static_cast<unsigned long long>(IS.Windows), Jobs);
       for (const ag::IngestStreamStats &SS : IS.Streams)
         std::fprintf(stderr,
-                     "  %s: v%u %llu records%s%s%s\n", SS.Path.c_str(),
+                     "  %s: v%u %llu records%s%s\n", SS.Path.c_str(),
                      SS.Version,
                      static_cast<unsigned long long>(SS.Records),
-                     SS.Fallback ? " (fallback replay)" : "",
                      SS.Recovered ? " (recovered prefix)" : "",
                      SS.BadRecords ? " [bad records]" : "");
       if (Hub.streams() > 1) {

@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 //
 // Prints the structure of an `.agtrace` file: header fields, per-opcode
-// record counts, symbol-table size, and — for v4 columnar traces — the
-// per-column compressed byte totals across all frames, so the effect of
-// the delta compression is visible column by column:
+// record counts, symbol-table size, and the per-column compressed byte
+// totals across all frames, so the effect of the delta compression is
+// visible column by column:
 //
 //   agtrace_inspect [--stats] run.agtrace [more.agtrace ...]
 //
-// Works on v2/v3 raw-row traces and v4 frame traces alike; raw traces
-// simply report 32 bytes/record with no column breakdown.
+// "record bytes" counts the record frames only; the interleaved symbol
+// checkpoints are listed on their own line. Files of any version other
+// than v4 are rejected ("unsupported trace version", exit status 1).
 //
-// --stats appends, for v4 traces, the frame-shape histograms (bytes per
+// --stats appends the frame-shape histograms (bytes per
 // frame and records per frame in power-of-two buckets) and a decode-time
 // breakdown that times the two stages the parallel ingest hub splits:
 // the header-only frame scan (what IngestHub::prepareStream runs up
@@ -147,8 +148,57 @@ int inspect(const std::string &Path, bool Stats) {
     return 1;
   }
 
-  uint64_t RecordBytes = Header.SymtabOffset - sizeof(TraceFileHeader);
+  uint64_t SectionBytes = Header.SymtabOffset - sizeof(TraceFileHeader);
   uint64_t SymtabBytes = Image.size() - Header.SymtabOffset;
+
+  // Walk the frame chain: per-opcode counts, per-column compressed totals,
+  // and the checkpoint frames, which are not record bytes.
+  uint64_t OpCount[TraceOpLimit + 1] = {};
+  uint64_t ColTotal[FrameColumns] = {};
+  uint64_t Frames = 0;
+  uint64_t SymFrames = 0, SymFrameBytes = 0;
+  constexpr unsigned HistBuckets = 32;
+  uint64_t ByteHist[HistBuckets] = {}, RecHist[HistBuckets] = {};
+  const uint8_t *Rec = Image.data() + sizeof(TraceFileHeader);
+  const uint8_t *P = Rec;
+  uint64_t Left = SectionBytes;
+  auto DecodeT0 = std::chrono::steady_clock::now();
+  while (Left > 0) {
+    size_t Skip = 0;
+    if (skipSymFrame(P, static_cast<size_t>(Left), Skip)) {
+      ++SymFrames;
+      SymFrameBytes += Skip;
+      P += Skip;
+      Left -= Skip;
+      continue;
+    }
+    size_t Consumed = 0;
+    bool Ok = decodeV4Frame(
+        P, static_cast<size_t>(Left), Consumed,
+        [&](const TraceRecord &R) {
+          ++OpCount[R.Op < TraceOpLimit ? R.Op : TraceOpLimit];
+        },
+        &Err);
+    if (!Ok) {
+      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
+      return 1;
+    }
+    TraceFrameHeader FH;
+    std::memcpy(&FH, P, sizeof(FH));
+    for (unsigned C = 0; C != FrameColumns; ++C)
+      ColTotal[C] += FH.ColBytes[C];
+    ++ByteHist[bucketOf(Consumed) < HistBuckets ? bucketOf(Consumed)
+                                                : HistBuckets - 1];
+    ++RecHist[bucketOf(FH.RecordCount) < HistBuckets
+                  ? bucketOf(FH.RecordCount)
+                  : HistBuckets - 1];
+    ++Frames;
+    P += Consumed;
+    Left -= Consumed;
+  }
+  double DecodeMs = msSince(DecodeT0);
+  uint64_t RecordBytes = SectionBytes - SymFrameBytes;
+
   std::printf("%s\n", Path.c_str());
   std::printf("  version        v%" PRIu32 "\n", Header.Version);
   std::printf("  file size      %zu bytes\n", Image.size());
@@ -160,104 +210,47 @@ int inspect(const std::string &Path, bool Stats) {
                   : 0.0);
   std::printf("  symbols        %zu (%" PRIu64 " bytes)\n", Remap.size(),
               SymtabBytes);
+  std::printf("  frames         %" PRIu64 " (%u records/frame max)\n", Frames,
+              FrameRecords);
+  if (SymFrames)
+    std::printf("  checkpoints    %" PRIu64 " symbol frames (%" PRIu64
+                " bytes)\n",
+                SymFrames, SymFrameBytes);
+  std::printf("  columns        (compressed bytes across all frames)\n");
+  for (unsigned C = 0; C != FrameColumns; ++C)
+    std::printf("    %-12s %10" PRIu64 "  %6.2f bytes/rec\n", colName(C),
+                ColTotal[C],
+                Header.RecordCount
+                    ? static_cast<double>(ColTotal[C]) / Header.RecordCount
+                    : 0.0);
 
-  // Per-opcode counts; for v4 also the per-column compressed totals.
-  uint64_t OpCount[TraceOpLimit + 1] = {};
-  const uint8_t *Rec = Image.data() + sizeof(TraceFileHeader);
-  if (Header.Version <= TraceLastRawVersion) {
-    for (uint64_t I = 0; I != Header.RecordCount; ++I) {
-      uint8_t Op = Rec[I * sizeof(TraceRecord)];
-      ++OpCount[Op < TraceOpLimit ? Op : TraceOpLimit];
-    }
-    if (Stats)
-      std::printf("  stats          raw v%" PRIu32 " rows: no frame "
-                  "structure to histogram\n",
-                  Header.Version);
-  } else {
-    uint64_t ColTotal[FrameColumns] = {};
-    uint64_t Frames = 0;
-    uint64_t SymFrames = 0, SymFrameBytes = 0;
-    constexpr unsigned HistBuckets = 32;
-    uint64_t ByteHist[HistBuckets] = {}, RecHist[HistBuckets] = {};
-    const uint8_t *P = Rec;
-    uint64_t Left = RecordBytes;
-    auto DecodeT0 = std::chrono::steady_clock::now();
-    while (Left > 0) {
-      size_t Skip = 0;
-      if (skipSymFrame(P, static_cast<size_t>(Left), Skip)) {
-        ++SymFrames;
-        SymFrameBytes += Skip;
-        P += Skip;
-        Left -= Skip;
-        continue;
-      }
-      size_t Consumed = 0;
-      bool Ok = decodeV4Frame(
-          P, static_cast<size_t>(Left), Consumed,
-          [&](const TraceRecord &R) {
-            ++OpCount[R.Op < TraceOpLimit ? R.Op : TraceOpLimit];
-          },
-          &Err);
-      if (!Ok) {
-        std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
-        return 1;
-      }
-      TraceFrameHeader FH;
-      std::memcpy(&FH, P, sizeof(FH));
-      for (unsigned C = 0; C != FrameColumns; ++C)
-        ColTotal[C] += FH.ColBytes[C];
-      ++ByteHist[bucketOf(Consumed) < HistBuckets ? bucketOf(Consumed)
-                                                  : HistBuckets - 1];
-      ++RecHist[bucketOf(FH.RecordCount) < HistBuckets
-                    ? bucketOf(FH.RecordCount)
-                    : HistBuckets - 1];
-      ++Frames;
-      P += Consumed;
-      Left -= Consumed;
-    }
-    double DecodeMs = msSince(DecodeT0);
-    std::printf("  frames         %" PRIu64 " (%u records/frame max)\n",
-                Frames, FrameRecords);
-    if (SymFrames)
-      std::printf("  checkpoints    %" PRIu64 " symbol frames (%" PRIu64
-                  " bytes)\n",
-                  SymFrames, SymFrameBytes);
-    std::printf("  columns        (compressed bytes across all frames)\n");
-    for (unsigned C = 0; C != FrameColumns; ++C)
-      std::printf("    %-12s %10" PRIu64 "  %6.2f bytes/rec\n", colName(C),
-                  ColTotal[C],
-                  Header.RecordCount
-                      ? static_cast<double>(ColTotal[C]) / Header.RecordCount
-                      : 0.0);
+  if (Stats) {
+    printHistogram("frame bytes    (histogram)", ByteHist, HistBuckets,
+                   Frames);
+    printHistogram("frame records  (histogram)", RecHist, HistBuckets,
+                   Frames);
 
-    if (Stats) {
-      printHistogram("frame bytes    (histogram)", ByteHist, HistBuckets,
-                     Frames);
-      printHistogram("frame records  (histogram)", RecHist, HistBuckets,
-                     Frames);
-
-      // Time the two stages the parallel ingest hub splits: the
-      // header-only frame scan it runs up front, and the full record
-      // decode its workers carry. The decode number above already ran;
-      // re-run the scan alone so the split is visible.
-      std::vector<TraceFrameRef> Refs;
-      auto ScanT0 = std::chrono::steady_clock::now();
-      if (!scanV4Frames(Rec, static_cast<size_t>(RecordBytes),
-                        Header.RecordCount, Refs, &Err)) {
-        std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
-        return 1;
-      }
-      double ScanMs = msSince(ScanT0);
-      std::printf("  decode time\n");
-      std::printf("    frame scan   %8.3f ms  (%" PRIu64 " frames located)\n",
-                  ScanMs, static_cast<uint64_t>(Refs.size()));
-      std::printf("    record decode%8.3f ms  (%.1f Mrec/s, %.1f MiB/s)\n",
-                  DecodeMs,
-                  DecodeMs > 0 ? Header.RecordCount / DecodeMs / 1e3 : 0.0,
-                  DecodeMs > 0
-                      ? RecordBytes / DecodeMs * 1e3 / (1024.0 * 1024.0)
-                      : 0.0);
+    // Time the two stages the parallel ingest hub splits: the header-only
+    // frame scan it runs up front, and the full record decode its workers
+    // carry. The decode number above already ran; re-run the scan alone so
+    // the split is visible.
+    std::vector<TraceFrameRef> Refs;
+    auto ScanT0 = std::chrono::steady_clock::now();
+    if (!scanV4Frames(Rec, static_cast<size_t>(SectionBytes),
+                      Header.RecordCount, Refs, &Err)) {
+      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
+      return 1;
     }
+    double ScanMs = msSince(ScanT0);
+    std::printf("  decode time\n");
+    std::printf("    frame scan   %8.3f ms  (%" PRIu64 " frames located)\n",
+                ScanMs, static_cast<uint64_t>(Refs.size()));
+    std::printf("    record decode%8.3f ms  (%.1f Mrec/s, %.1f MiB/s)\n",
+                DecodeMs,
+                DecodeMs > 0 ? Header.RecordCount / DecodeMs / 1e3 : 0.0,
+                DecodeMs > 0
+                    ? RecordBytes / DecodeMs * 1e3 / (1024.0 * 1024.0)
+                    : 0.0);
   }
 
   std::printf("  opcodes\n");

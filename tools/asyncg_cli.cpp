@@ -11,20 +11,18 @@
 //   asyncg_cli --list
 //   asyncg_cli --case SO-33330277 [--fixed] [--nopromise] [--async]
 //              [--retire] [--retain-window N] [--record FILE]
-//              [--trace-version N] [--sample-budget PCT] [--dot FILE]
-//              [--json FILE] [--html FILE] [--quiet]
+//              [--sample-budget PCT] [--dot FILE] [--json FILE]
+//              [--html FILE] [--quiet]
 //   asyncg_cli --replay FILE [--nopromise] [--retire] [--retain-window N]
-//              [--mmap|--stdio] [--dot FILE] [--json FILE] [--html FILE]
-//              [--quiet]
+//              [--dot FILE] [--json FILE] [--html FILE] [--quiet]
 //
 // With no output flags, prints the tick-by-tick text rendering and the
 // warnings to stdout. --async routes construction through the off-thread
 // pipeline (ag/AsyncPipeline.h); --record additionally writes a binary
-// .agtrace of the run (--trace-version picks the file encoding: 4 =
-// columnar delta frames, the default; 2/3 = raw 32-byte rows), and
-// --replay rebuilds a graph from such a trace without executing any case
-// (v4 files replay zero-copy from an mmap; --mmap/--stdio force the
-// transport). --sample-budget enables overhead-budgeted sampling in the
+// .agtrace of the run (v4 columnar delta frames), and --replay rebuilds a
+// graph from such a trace without executing any case (zero-copy from an
+// mmap of the file; a torn recording replays its clean frame prefix).
+// --sample-budget enables overhead-budgeted sampling in the
 // async pipeline: decoration events are emitted only while the estimated
 // instrumentation spend stays under PCT percent of loop wall time, and the
 // dropped coverage is reported so detector confidence can be judged.
@@ -63,16 +61,14 @@ int usage(const char *Prog) {
                " [--fixed]"
                " [--nopromise] [--async]\n"
                "           [--retire]\n"
-               "           [--retain-window N] [--record FILE]"
-               " [--trace-version N]\n"
+               "           [--retain-window N] [--record FILE]\n"
                "           [--sample-budget PCT] [--dot FILE]"
                " [--json FILE]\n"
                "           [--html FILE] [--quiet]\n"
                "       %s --replay FILE [--nopromise] [--retire]"
                " [--retain-window N]\n"
-               "           [--mmap|--stdio] [--dot FILE] [--json FILE]"
-               " [--html FILE]\n"
-               "           [--quiet]\n",
+               "           [--dot FILE] [--json FILE] [--html FILE]"
+               " [--quiet]\n",
                Prog, Prog, Prog);
   return 2;
 }
@@ -86,9 +82,7 @@ int main(int Argc, char **Argv) {
   sim::KernelBackend Backend = sim::KernelBackend::Sim;
   bool KernelSet = false;
   unsigned long RetainWindow = 8;
-  unsigned long TraceVer = trace::TraceVersion;
   double SampleBudget = 0;
-  instr::ReplayTransport Transport = instr::ReplayTransport::Auto;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -121,18 +115,6 @@ int main(int Argc, char **Argv) {
                              "tick count\n");
         return 2;
       }
-    } else if (Arg == "--trace-version") {
-      std::string N;
-      if (!Next(N))
-        return usage(Argv[0]);
-      char *End = nullptr;
-      TraceVer = std::strtoul(N.c_str(), &End, 10);
-      if (End == N.c_str() || *End != '\0' || TraceVer < 2 ||
-          TraceVer > trace::TraceVersion) {
-        std::fprintf(stderr, "error: --trace-version expects 2..%u\n",
-                     trace::TraceVersion);
-        return 2;
-      }
     } else if (Arg == "--sample-budget") {
       std::string N;
       if (!Next(N))
@@ -163,11 +145,7 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       KernelSet = true;
-    } else if (Arg == "--mmap")
-      Transport = instr::ReplayTransport::Mmap;
-    else if (Arg == "--stdio")
-      Transport = instr::ReplayTransport::Stdio;
-    else if (Arg == "--record" && Next(RecordFile))
+    } else if (Arg == "--record" && Next(RecordFile))
       continue;
     else if (Arg == "--replay" && Next(ReplayFile))
       continue;
@@ -241,7 +219,8 @@ int main(int Argc, char **Argv) {
     Detectors.attachTo(Builder);
     std::string Err;
     instr::ReplayStats RStats;
-    if (!instr::replayTrace(ReplayFile, Builder, &Err, Transport, &RStats)) {
+    if (!instr::replayTrace(ReplayFile, Builder, &Err,
+                            instr::ReplayTransport::Auto, &RStats)) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
@@ -297,8 +276,7 @@ int main(int Argc, char **Argv) {
   }
   instr::TraceRecorder Recorder;
   if (!RecordFile.empty()) {
-    if (!Recorder.open(RecordFile, /*Shard=*/0,
-                       static_cast<uint32_t>(TraceVer))) {
+    if (!Recorder.open(RecordFile)) {
       std::fprintf(stderr, "error: cannot write %s\n", RecordFile.c_str());
       return 1;
     }
@@ -313,8 +291,8 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     if (!Quiet)
-      std::printf("trace: v%lu, %llu records, %llu record bytes -> %s\n",
-                  TraceVer,
+      std::printf("trace: v%u, %llu records, %llu record bytes -> %s\n",
+                  trace::TraceVersion,
                   static_cast<unsigned long long>(Recorder.recordCount()),
                   static_cast<unsigned long long>(Recorder.recordBytes()),
                   RecordFile.c_str());

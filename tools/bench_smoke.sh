@@ -38,8 +38,9 @@
 #     kind of code ASan exists for;
 #   - runs the trace-codec leg under the same ASan build: the replay
 #     parity + decoder robustness suites (trace_replay_test,
-#     trace_codec_v4_test — truncated/bit-flipped traces through both
-#     transports) and micro_codec --parity-only, so the v4 frame
+#     trace_codec_v4_test — truncated/bit-flipped traces through
+#     replayTrace and the ingest hub — and ingest_test, which shares the
+#     replay engine) and micro_codec --parity-only, so the v4 frame
 #     decoder's pointer arithmetic is sanitizer-verified on every real
 #     encode/decode path;
 #   - runs the ingest leg: records a Table-I case trace with asyncg_cli
@@ -117,8 +118,9 @@ leg micro_ring run_bench micro_ring --benchmark_min_time=0.01
 leg soak_steady_state run_bench soak_steady_state --requests 2000 --clients 8
 # Cluster scaling: 1/2/4 loops, virtual-throughput scaling and merge gates.
 leg cluster_scaling run_bench cluster_scaling
-# Trace codec: v3 vs v4 size + ingest speed, DOT parity, and the exit-code
-# gates (>=4x size, derived slow-storage >=2x, cold floor >=1.2x).
+# Trace codec: raw-row baseline vs v4 size + ingest speed, DOT parity, and
+# the exit-code gates (>=4x size, derived slow-storage >=2x, cold floor
+# >=1.2x).
 leg micro_codec run_bench micro_codec
 # Parallel ingest: decode-stage speedup gate (>=1.25x pipelined over serial
 # replay), jobs sweep, streaming merge, and byte parity at every job count.
@@ -303,10 +305,11 @@ EOF
 
   echo "== [check] building trace codec leg (tests + micro_codec) under ASan"
   cmake --build "$ASAN_DIR" --target trace_replay_test trace_codec_v4_test \
-    micro_codec -j >/dev/null
+    ingest_test micro_codec -j >/dev/null
   echo "== [check] running replay parity + decoder robustness under ASan"
   ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/trace_replay_test"
   ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/trace_codec_v4_test"
+  ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/ingest_test"
   echo "== [check] running micro_codec --parity-only under ASan"
   ASAN_OPTIONS=detect_leaks=0 \
     "$ASAN_DIR/bench/micro_codec" --parity-only >/dev/null
