@@ -35,8 +35,10 @@
 //                makes the sweep *slower*, which is exactly why Jobs
 //                defaults to 1.
 //   merge      — two cluster shard streams, serial (replay each + batch
-//                ShardedGraph::build) vs the hub's streaming merge.
-//                Reported; gated on parity only.
+//                ShardedGraph::build) vs the hub at jobs=1 (streams
+//                drained one after the other, then move-merged) and at
+//                jobs=2 (one stream worker per stream). Reported; gated
+//                on parity only.
 //   detect     — full pipeline with the detector suite attached (live
 //                observers ride the same ordered commit). Reported, not
 //                gated: detector work dominates and is identical.
@@ -337,6 +339,7 @@ int main(int argc, char **argv) {
 
   // --- Merge leg: two shard streams --------------------------------------
   std::string DotMergeSerial, DotMergeHub, WarnMergeSerial, WarnMergeHub;
+  std::string DotMergeJ2, WarnMergeJ2;
   double MergeSerial = bestOf(Reps, [&](int I) {
     std::string *Dot = I == 0 ? &DotMergeSerial : nullptr;
     std::vector<std::unique_ptr<ag::AsyncGBuilder>> Builders;
@@ -368,8 +371,14 @@ int main(int argc, char **argv) {
                        I == 0 ? &WarnMergeHub : nullptr);
     return S;
   });
+  double MergeHubJ2 = bestOf(Reps, [&](int I) {
+    return hubOnce(ShardPaths, 2, false, true,
+                   I == 0 ? &DotMergeJ2 : nullptr,
+                   I == 0 ? &WarnMergeJ2 : nullptr);
+  });
   bool ParityMerge =
-      DotMergeSerial == DotMergeHub && WarnMergeSerial == WarnMergeHub;
+      DotMergeSerial == DotMergeHub && WarnMergeSerial == WarnMergeHub &&
+      DotMergeSerial == DotMergeJ2 && WarnMergeSerial == WarnMergeJ2;
 
   bool Parity = ParitySingle && ParityWarnings && ParityMerge;
   bool Jobs4GateArmed = HwThreads >= 4;
@@ -404,8 +413,10 @@ int main(int argc, char **argv) {
               DetectPipelined > 0 ? DetectSerial / DetectPipelined : 0);
   std::printf("%-30s %11.2f ms  (2 shards, batch merge)\n",
               "merge serial", MergeSerial * 1e3);
-  std::printf("%-30s %11.2f ms  (streaming merge)\n", "merge hub",
-              MergeHub * 1e3);
+  std::printf("%-30s %11.2f ms  (streams in turn, move merge)\n",
+              "merge hub (jobs=1)", MergeHub * 1e3);
+  std::printf("%-30s %11.2f ms  (a stream worker each, move merge)\n",
+              "merge hub (jobs=2)", MergeHubJ2 * 1e3);
   std::printf("%-30s %14s\n", "DOT parity (all job counts)",
               ParitySingle ? "identical" : "DIVERGED");
   std::printf("%-30s %14s\n", "warnings parity",
@@ -445,6 +456,7 @@ int main(int argc, char **argv) {
     Report.metric("ingest_detect_pipelined_ms", DetectPipelined * 1e3, "ms");
     Report.metric("ingest_merge_serial_ms", MergeSerial * 1e3, "ms");
     Report.metric("ingest_merge_hub_ms", MergeHub * 1e3, "ms");
+    Report.metric("ingest_merge_hub_jobs2_ms", MergeHubJ2 * 1e3, "ms");
     Report.metric("ingest_parity", Parity ? 1 : 0, "bool");
     Report.metric("pipelined_gate_1_25x", SpeedupPipelined >= 1.25 ? 1 : 0,
                   "bool");

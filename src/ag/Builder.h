@@ -97,11 +97,6 @@ public:
 
   /// Total ticks opened (including empty ones that were not committed).
   uint64_t ticksOpened() const { return TickCounter; }
-
-  /// Total ticks committed to the graph, counting retired ones. Monotonic,
-  /// so stream-merge layers can use it to measure tick-window progress
-  /// even when retirement reclaims the tick storage itself.
-  uint64_t ticksCommitted() const { return CommittedCount; }
   /// @}
 
   /// Bytes retained by the builder: the graph plus the validator's pending

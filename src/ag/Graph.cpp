@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace asyncg;
 using namespace asyncg::ag;
@@ -65,18 +66,23 @@ NodeId AsyncGraph::addNode(AgNode N, AgTick &T) {
   N.Id = Id;
   N.Tick = T.Index;
   T.Nodes.push_back(Id);
+  Nodes[Id] = std::move(N);
+  indexNode(Nodes[Id]);
+  return Id;
+}
 
+void AsyncGraph::indexNode(const AgNode &N) {
   switch (N.Kind) {
   case NodeKind::OB:
-    ObjIndex[N.Obj] = Id;
+    ObjIndex[N.Obj] = N.Id;
     break;
   case NodeKind::CR:
     if (N.Sched != 0)
-      SchedIndex[N.Sched] = Id;
+      SchedIndex[N.Sched] = N.Id;
     break;
   case NodeKind::CT:
     if (N.Trigger != 0)
-      TriggerIndex[N.Trigger] = Id;
+      TriggerIndex[N.Trigger] = N.Id;
     break;
   case NodeKind::CE:
     if (N.Sched != 0) {
@@ -85,10 +91,10 @@ NodeId AsyncGraph::addNode(AgNode N, AgTick &T) {
       if (ExecFree != detail::AdjNil) {
         Cell = ExecFree;
         ExecFree = ExecPool[Cell].Next;
-        ExecPool[Cell] = detail::AdjCell{Id, detail::AdjNil};
+        ExecPool[Cell] = detail::AdjCell{N.Id, detail::AdjNil};
       } else {
         Cell = static_cast<uint32_t>(ExecPool.size());
-        ExecPool.push_back(detail::AdjCell{Id, detail::AdjNil});
+        ExecPool.push_back(detail::AdjCell{N.Id, detail::AdjNil});
       }
       if (C.Tail == detail::AdjNil)
         C.Head = Cell;
@@ -98,9 +104,6 @@ NodeId AsyncGraph::addNode(AgNode N, AgTick &T) {
     }
     break;
   }
-
-  Nodes[Id] = std::move(N);
-  return Id;
 }
 
 void AsyncGraph::pushAdj(AdjList &L, uint32_t E) {
@@ -320,6 +323,174 @@ void AsyncGraph::retireTick(uint32_t Index) {
                 Ticks.end());
     RetiredInVector = 0;
   }
+}
+
+void AsyncGraph::compact() {
+  if (Summary.Ticks == 0) {
+    NodeId Expect = 0;
+    bool InOrder = true;
+    for (const AgTick &T : Ticks)
+      for (NodeId N : T.Nodes)
+        InOrder = InOrder && N == Expect++;
+    if (InOrder && Expect == Nodes.size())
+      return;
+  }
+
+  // Move the nodes of every live tick, in tick order, into dense slots.
+  std::vector<NodeId> Remap(Nodes.size(), InvalidNode);
+  std::vector<AgNode> Live;
+  Live.reserve(nodeCount());
+  std::vector<AgTick> Kept;
+  Kept.reserve(liveTickCount());
+  for (AgTick &T : Ticks) {
+    if (T.Retired)
+      continue;
+    for (NodeId &N : T.Nodes) {
+      const NodeId New = static_cast<NodeId>(Live.size());
+      Live.push_back(std::move(Nodes[N]));
+      Live.back().Id = New;
+      Remap[N] = New;
+      N = New;
+    }
+    Kept.push_back(std::move(T));
+  }
+  Ticks = std::move(Kept);
+  Nodes = std::move(Live);
+  RetiredInVector = 0;
+  FreeNodes.clear();
+
+  // Rebuild everything keyed by node or edge slot from scratch.
+  ObjIndex.clear();
+  SchedIndex.clear();
+  TriggerIndex.clear();
+  ExecIndex.clear();
+  ExecPool.clear();
+  ExecFree = detail::AdjNil;
+  for (const AgNode &N : Nodes)
+    indexNode(N);
+
+  std::vector<AgEdge> OldEdges = std::move(Edges);
+  Edges.clear();
+  Edges.reserve(OldEdges.size() - FreeEdges.size());
+  FreeEdges.clear();
+  AdjPool.clear();
+  AdjFree = detail::AdjNil;
+  Out.assign(Nodes.size(), AdjList{});
+  In.assign(Nodes.size(), AdjList{});
+  for (const AgEdge &E : OldEdges) {
+    if (E.From == InvalidNode)
+      continue;
+    const NodeId From = Remap[E.From], To = Remap[E.To];
+    if (From != InvalidNode && To != InvalidNode)
+      addEdge(From, To, E.Kind, E.Label);
+  }
+
+  for (Warning &W : Warnings)
+    W.Node = W.Node < Remap.size() ? Remap[W.Node] : InvalidNode;
+}
+
+size_t AsyncGraph::append(AsyncGraph &&Src, uint32_t TickBase,
+                          uint32_t Shard) {
+  assert(&Src != this && "appending a graph to itself");
+  Src.compact();
+  assert((Ticks.empty() || Src.Ticks.empty() ||
+          Ticks.back().Index < TickBase + Src.Ticks.front().Index) &&
+         "appended ticks must follow this graph's");
+
+  const NodeId NodeBase = static_cast<NodeId>(Nodes.size());
+  const uint32_t EdgeBase = static_cast<uint32_t>(Edges.size());
+  const uint32_t AdjBase = static_cast<uint32_t>(AdjPool.size());
+  const uint32_t ExecBase = static_cast<uint32_t>(ExecPool.size());
+  const size_t SrcNodes = Src.Nodes.size();
+  auto Cell = [](uint32_t C, uint32_t Base) {
+    return C == detail::AdjNil ? C : C + Base;
+  };
+
+  // Shift Src's ids in place. An empty destination (the first shard of a
+  // merge) moves in with every offset zero, so only the shard tag is set.
+  const bool Shift = NodeBase != 0 || TickBase != 0;
+  for (AgTick &T : Src.Ticks) {
+    T.Index += TickBase;
+    T.Shard = Shard;
+    if (NodeBase != 0)
+      for (NodeId &N : T.Nodes)
+        N += NodeBase;
+  }
+  if (Shift) {
+    for (AgNode &N : Src.Nodes) {
+      N.Id += NodeBase;
+      N.Tick += TickBase;
+    }
+    for (AgEdge &E : Src.Edges) {
+      E.From += NodeBase;
+      E.To += NodeBase;
+    }
+    for (std::vector<AdjList> *Lists : {&Src.Out, &Src.In})
+      for (AdjList &L : *Lists) {
+        L.Head = Cell(L.Head, AdjBase);
+        L.Tail = Cell(L.Tail, AdjBase);
+      }
+    for (detail::AdjCell &C : Src.AdjPool) {
+      C.Edge += EdgeBase;
+      C.Next = Cell(C.Next, AdjBase);
+    }
+    for (detail::AdjCell &C : Src.ExecPool) {
+      C.Edge += NodeBase;
+      C.Next = Cell(C.Next, ExecBase);
+    }
+  }
+
+  auto Splice = [](auto &Dst, auto &From) {
+    if (Dst.empty())
+      Dst = std::move(From);
+    else
+      Dst.insert(Dst.end(), std::make_move_iterator(From.begin()),
+                 std::make_move_iterator(From.end()));
+  };
+  Splice(Ticks, Src.Ticks);
+  Splice(Nodes, Src.Nodes);
+  Splice(Edges, Src.Edges);
+  Splice(Out, Src.Out);
+  Splice(In, Src.In);
+  Splice(AdjPool, Src.AdjPool);
+  Splice(ExecPool, Src.ExecPool);
+
+  auto Rekey = [NodeBase](auto &Dst, auto &From) {
+    if (Dst.empty() && NodeBase == 0) {
+      Dst = std::move(From);
+      return;
+    }
+    Dst.reserve(Dst.size() + From.size());
+    for (auto &[Key, Node] : From)
+      Dst[Key] = Node + NodeBase;
+  };
+  Rekey(ObjIndex, Src.ObjIndex);
+  Rekey(SchedIndex, Src.SchedIndex);
+  Rekey(TriggerIndex, Src.TriggerIndex);
+  if (ExecIndex.empty() && ExecBase == 0) {
+    ExecIndex = std::move(Src.ExecIndex);
+  } else {
+    ExecIndex.reserve(ExecIndex.size() + Src.ExecIndex.size());
+    for (auto &[Sched, C] : Src.ExecIndex) {
+      const ExecChain Moved{Cell(C.Head, ExecBase), Cell(C.Tail, ExecBase)};
+      if (ExecChain *Have = ExecIndex.find(Sched)) {
+        ExecPool[Have->Tail].Next = Moved.Head;
+        Have->Tail = Moved.Tail;
+      } else {
+        ExecIndex[Sched] = Moved;
+      }
+    }
+  }
+
+  size_t Added = 0;
+  for (Warning &W : Src.Warnings) {
+    W.Node = W.Node < SrcNodes ? W.Node + NodeBase : InvalidNode;
+    if (W.Tick != 0)
+      W.Tick += TickBase;
+    Added += addWarning(std::move(W));
+  }
+  Src = AsyncGraph();
+  return Added;
 }
 
 NodeId AsyncGraph::objectNode(jsrt::ObjectId Obj) const {

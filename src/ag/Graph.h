@@ -294,6 +294,33 @@ public:
   void retireTick(uint32_t Index);
   /// @}
 
+  /// \name Merge support (ag/ShardedGraph.h)
+  /// @{
+
+  /// Renumbers the graph densely in tick order, as a graph rebuilt tick by
+  /// tick would number it: retired tombstones and nodes outside every
+  /// committed tick are dropped, live edges keep their storage order (an
+  /// edge with a dropped endpoint goes too), adjacency, the four indices
+  /// and the execution chains are rebuilt without freelists, and warnings
+  /// are re-anchored. Tick indices and the RetiredSummary stay. A no-op
+  /// after an O(nodes) check when nothing ever retired and every node
+  /// already sits in a committed tick in id order, which is how the
+  /// builder lays out a full graph.
+  void compact();
+
+  /// Appends \p Src (compacted first) after this graph's storage by moving
+  /// its vectors: node, edge, adjacency-cell and execution-cell ids shift
+  /// past this graph's, tick indices (of ticks, nodes and warnings) shift
+  /// by \p TickBase, and every appended tick is tagged \p Shard. The four
+  /// id indices are re-keyed: an id present in both graphs resolves to
+  /// \p Src's node, and execution chains of a shared registration id are
+  /// concatenated, this graph's executions first. Warnings go through
+  /// addWarning()'s dedup. \p Src is left empty. The result is the graph
+  /// a tick-by-tick copy of \p Src into this one would build.
+  /// \returns how many of \p Src's warnings were new here.
+  size_t append(AsyncGraph &&Src, uint32_t TickBase, uint32_t Shard);
+  /// @}
+
   /// \name Queries
   /// @{
   const std::vector<AgTick> &ticks() const { return Ticks; }
@@ -375,6 +402,8 @@ private:
     uint32_t Tail = detail::AdjNil;
   };
 
+  /// Records node \p N (already in its slot) in the id index of its kind.
+  void indexNode(const AgNode &N);
   void pushAdj(AdjList &L, uint32_t E);
   /// Unlinks the cell for edge \p E from list \p L and freelists it.
   void unlinkAdj(AdjList &L, uint32_t E);

@@ -9,6 +9,7 @@
 #include "instr/TraceCodec.h"
 #include "support/MpmcQueue.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -27,47 +28,17 @@ namespace {
 /// the Done store/load pair carries the decoded records back.
 enum SlotState : int { SlotEmpty = 0, SlotQueued, SlotDone, SlotError };
 
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Stream and decode-pool state
-//===----------------------------------------------------------------------===//
-
-struct IngestHub::Stream {
-  explicit Stream(size_t Idx, std::string Path, const BuilderConfig &Config)
-      : Idx(Idx), Path(std::move(Path)),
-        Builder(new AsyncGBuilder(Config)) {}
-
-  size_t Idx;
-  std::string Path;
-  std::unique_ptr<AsyncGBuilder> Builder;
-
-  /// The replay engine: mapping, frame plan, decoder (alive for the hub's
-  /// lifetime).
-  instr::TraceStream Trace;
-
-  size_t NextQueued = 0; ///< next frame to hand to the decode pool
-  bool Drained = false;
-
-  /// Handoff-stat scan cursor into the builder graph's node storage.
-  size_t ScanPos = 0;
-
+/// Frame-decode workers for one stream, plus the sliding decode window
+/// they fill: frame F lands in slot F % Slots.size().
+struct DecodePool {
   struct Slot {
     std::vector<trace::TraceRecord> Records;
     std::string Err;
     std::atomic<int> State{SlotEmpty};
   };
-  /// Sliding decode window; frame F lands in slot F % Slots.size().
-  std::vector<Slot> Slots;
-};
 
-struct IngestHub::DecodePool {
-  struct Task {
-    Stream *S = nullptr;
-    size_t FrameIdx = 0;
-  };
-
-  DecodePool(unsigned Workers, size_t QueueCap) : Queue(QueueCap) {
+  DecodePool(const instr::TraceStream &Trace, unsigned Workers, size_t Window)
+      : Trace(Trace), Slots(Window), Queue(Window) {
     Threads.reserve(Workers);
     for (unsigned I = 0; I != Workers; ++I)
       Threads.emplace_back([this] { workerMain(); });
@@ -87,11 +58,11 @@ struct IngestHub::DecodePool {
   /// the committer's steal entry point: decode is stateless, so any thread
   /// may serve any task.
   bool runOne() {
-    Task T;
-    if (!Queue.tryPop(T))
+    size_t FrameIdx;
+    if (!Queue.tryPop(FrameIdx))
       return false;
-    Stream::Slot &SL = T.S->Slots[T.FrameIdx % T.S->Slots.size()];
-    bool Ok = T.S->Trace.decodeFrame(T.FrameIdx, SL.Records, &SL.Err);
+    Slot &SL = Slots[FrameIdx % Slots.size()];
+    bool Ok = Trace.decodeFrame(FrameIdx, SL.Records, &SL.Err);
     SL.State.store(Ok ? SlotDone : SlotError, std::memory_order_release);
     Cv.notify_all();
     return true;
@@ -115,22 +86,80 @@ struct IngestHub::DecodePool {
     }
   }
 
-  MpmcQueue<Task> Queue;
+  const instr::TraceStream &Trace;
+  std::vector<Slot> Slots;
+  MpmcQueue<size_t> Queue;
   std::mutex M;
   std::condition_variable Cv;
   std::atomic<bool> Stop{false};
   std::vector<std::thread> Threads;
 };
 
+/// Commits every frame of \p Trace into \p Sink in order, with \p Jobs - 1
+/// decode workers filling a window of 2 * Jobs + 2 frames ahead.
+bool drainPooled(instr::TraceStream &Trace, instr::AnalysisBase &Sink,
+                 unsigned Jobs, std::string *Err) {
+  DecodePool Pool(Trace, Jobs - 1, 2 * Jobs + 2);
+  const size_t W = Pool.Slots.size();
+  size_t NextQueued = 0;
+  while (!Trace.done()) {
+    // Keep the decode window primed: up to W frames in flight.
+    const size_t Next = Trace.nextFrame();
+    bool Pushed = false;
+    while (NextQueued < Trace.frameCount() && NextQueued < Next + W) {
+      DecodePool::Slot &QS = Pool.Slots[NextQueued % W];
+      QS.State.store(SlotQueued, std::memory_order_relaxed);
+      if (!Pool.Queue.tryPush(NextQueued)) {
+        QS.State.store(SlotEmpty, std::memory_order_relaxed);
+        break;
+      }
+      Pushed = true;
+      ++NextQueued;
+    }
+    if (Pushed)
+      Pool.notifyWork();
+
+    DecodePool::Slot &SL = Pool.Slots[Next % W];
+    int State = SL.State.load(std::memory_order_acquire);
+    if (State == SlotDone) {
+      Trace.applyDecoded(SL.Records, Sink);
+      SL.State.store(SlotEmpty, std::memory_order_relaxed);
+      continue;
+    }
+    if (State == SlotError) {
+      SL.State.store(SlotEmpty, std::memory_order_relaxed);
+      return Trace.failNext(SL.Err, Err);
+    }
+    // Next frame still decoding: steal a decode task instead of
+    // blocking; park briefly only when the queue is dry too.
+    if (!Pool.runOne())
+      Pool.waitBriefly();
+  }
+  return true;
+}
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // IngestHub
 //===----------------------------------------------------------------------===//
 
+struct IngestHub::Stream {
+  explicit Stream(size_t Idx, std::string Path, const BuilderConfig &Config)
+      : Idx(Idx), Path(std::move(Path)),
+        Builder(new AsyncGBuilder(Config)) {}
+
+  size_t Idx;
+  std::string Path;
+  std::unique_ptr<AsyncGBuilder> Builder;
+  /// The replay engine: mapping, frame plan, decoder (alive for the hub's
+  /// lifetime).
+  instr::TraceStream Trace;
+};
+
 IngestHub::IngestHub(IngestOptions Opts) : Opts(std::move(Opts)) {
   if (this->Opts.Jobs == 0)
     this->Opts.Jobs = 1;
-  if (this->Opts.WindowTicks == 0)
-    this->Opts.WindowTicks = 1;
 }
 
 IngestHub::~IngestHub() = default;
@@ -155,7 +184,7 @@ const AsyncGraph &IngestHub::graph() const {
   return Streams.front()->Builder->graph();
 }
 
-bool IngestHub::prepareStream(Stream &S, std::string *Err) {
+bool IngestHub::ingestStream(Stream &S, std::string *Err) {
   std::string OpenErr;
   if (!S.Trace.open(S.Path, &OpenErr)) {
     if (Err)
@@ -174,65 +203,11 @@ bool IngestHub::prepareStream(Stream &S, std::string *Err) {
                                    static_cast<size_t>(Records * 2 / 3 + 1024),
                                    static_cast<size_t>(Records / 6 + 64));
   }
-  if (Opts.Jobs >= 2)
-    S.Slots = std::vector<Stream::Slot>(2 * Opts.Jobs + 2);
-  return true;
-}
-
-bool IngestHub::pumpStream(Stream &S, std::string *Err) {
-  const uint64_t WindowBase = S.Builder->ticksCommitted();
-  const bool Windowed = Streams.size() > 1;
-  auto WindowClosed = [&] {
-    return Windowed &&
-           S.Builder->ticksCommitted() - WindowBase >= Opts.WindowTicks;
-  };
-  const uint64_t Records0 = S.Trace.stats().Records;
-  const size_t Frames0 = S.Trace.nextFrame();
 
   std::string FrameErr;
-  bool Ok = true;
-  if (Opts.Jobs < 2) {
-    Ok = S.Trace.apply(*S.Builder, &FrameErr, WindowClosed);
-  } else {
-    const size_t W = S.Slots.size();
-    while (!S.Trace.done()) {
-      // Keep the decode window primed: up to W frames in flight.
-      const size_t Next = S.Trace.nextFrame();
-      bool Pushed = false;
-      while (S.NextQueued < S.Trace.frameCount() &&
-             S.NextQueued < Next + W) {
-        Stream::Slot &QS = S.Slots[S.NextQueued % W];
-        QS.State.store(SlotQueued, std::memory_order_relaxed);
-        if (!Pool->Queue.tryPush({&S, S.NextQueued})) {
-          QS.State.store(SlotEmpty, std::memory_order_relaxed);
-          break;
-        }
-        Pushed = true;
-        ++S.NextQueued;
-      }
-      if (Pushed)
-        Pool->notifyWork();
-
-      Stream::Slot &SL = S.Slots[Next % W];
-      int State = SL.State.load(std::memory_order_acquire);
-      if (State == SlotDone) {
-        S.Trace.applyDecoded(SL.Records, *S.Builder);
-        SL.State.store(SlotEmpty, std::memory_order_relaxed);
-        if (WindowClosed())
-          break;
-        continue;
-      }
-      if (State == SlotError) {
-        SL.State.store(SlotEmpty, std::memory_order_relaxed);
-        Ok = S.Trace.failNext(SL.Err, &FrameErr);
-        break;
-      }
-      // Next frame still decoding: steal a decode task instead of
-      // blocking; park briefly only when the queue is dry too.
-      if (!Pool->runOne())
-        Pool->waitBriefly();
-    }
-  }
+  const bool Ok = Streams.size() == 1 && Opts.Jobs >= 2
+                      ? drainPooled(S.Trace, *S.Builder, Opts.Jobs, &FrameErr)
+                      : S.Trace.applyAll(*S.Builder, &FrameErr);
 
   const instr::ReplayStats RS = S.Trace.stats();
   IngestStreamStats &St = Stats.Streams[S.Idx];
@@ -243,38 +218,9 @@ bool IngestHub::pumpStream(Stream &S, std::string *Err) {
   St.BadRecords = RS.BadRecords;
   St.Recovered = RS.Recovered;
   St.DroppedTailBytes = RS.DroppedTailBytes;
-  Stats.Records += RS.Records - Records0;
-  Stats.Frames += S.Trace.nextFrame() - Frames0;
-  if (!Ok) {
-    if (Err)
-      *Err = S.Path + ": " + FrameErr;
-    return false;
-  }
-  S.Drained = S.Trace.done();
-  return true;
-}
-
-void IngestHub::scanHandoffs(Stream &S) {
-  // Node slots are recycled under retirement, which would invalidate the
-  // cursor; the live view is only kept for full graphs.
-  if (Opts.Builder.Retire)
-    return;
-  const std::vector<AgNode> &Nodes = S.Builder->graph().nodes();
-  for (; S.ScanPos < Nodes.size(); ++S.ScanPos) {
-    const AgNode &N = Nodes[S.ScanPos];
-    if (N.Id == InvalidNode)
-      continue;
-    if (N.Kind == NodeKind::CT && N.Trigger != 0) {
-      CtSeen[N.Trigger] = 1;
-    } else if (N.Kind == NodeKind::CE &&
-               N.Api == jsrt::ApiKind::ClusterRecv && N.Sched != 0) {
-      ++Stats.HandoffsSeen;
-      if (CtSeen.find(N.Sched))
-        ++Stats.HandoffsResolvedLive;
-      else
-        ParkedHandoffs.push_back(N.Sched);
-    }
-  }
+  if (!Ok && Err)
+    *Err = S.Path + ": " + FrameErr;
+  return Ok;
 }
 
 bool IngestHub::run(std::string *Err) {
@@ -290,51 +236,50 @@ bool IngestHub::run(std::string *Err) {
     return false;
   }
 
-  for (auto &SP : Streams)
-    if (!prepareStream(*SP, Err))
-      return false;
-
-  bool NeedPool = false;
-  if (Opts.Jobs >= 2)
-    for (auto &SP : Streams)
-      NeedPool |= !SP->Slots.empty();
-  if (NeedPool) {
-    size_t Cap = Streams.size() * (2 * Opts.Jobs + 2);
-    Pool.reset(new DecodePool(Opts.Jobs - 1, Cap < 64 ? 64 : Cap));
-  }
-
-  // Bounded round-robin over the live streams; each turn commits up to
-  // WindowTicks ticks (single-stream runs drain in one turn).
-  bool Ok = true;
-  for (bool AllDrained = false; Ok && !AllDrained;) {
-    AllDrained = true;
-    for (auto &SP : Streams) {
-      Stream &S = *SP;
-      if (S.Drained)
-        continue;
-      ++Stats.Windows;
-      if (!pumpStream(S, Err)) {
-        Ok = false;
-        break;
+  // Stream workers: each takes the next unstarted stream until none is
+  // left or one has failed. Every stream touches only its own builder,
+  // observers and stats slot, so the workers share only the two atomics
+  // below and the thread-safe symbol table.
+  const size_t N = Streams.size();
+  std::vector<std::string> Errs(N);
+  std::vector<uint8_t> Failed(N, 0);
+  std::atomic<size_t> NextStream{0};
+  std::atomic<bool> Stop{false};
+  auto Worker = [&] {
+    while (!Stop.load(std::memory_order_relaxed)) {
+      const size_t I = NextStream.fetch_add(1, std::memory_order_relaxed);
+      if (I >= N)
+        return;
+      if (!ingestStream(*Streams[I], &Errs[I])) {
+        Failed[I] = 1;
+        Stop.store(true, std::memory_order_relaxed);
       }
-      scanHandoffs(S);
-      AllDrained &= S.Drained;
     }
+  };
+  {
+    std::vector<std::jthread> Helpers;
+    for (size_t T = 1; T < std::min<size_t>(Opts.Jobs, N); ++T)
+      Helpers.emplace_back(Worker);
+    Worker();
+  } // joins the helpers
+
+  Stats.Windows = std::min(NextStream.load(), N);
+  for (const IngestStreamStats &St : Stats.Streams) {
+    Stats.Records += St.Records;
+    Stats.Frames += St.Frames;
   }
-  Pool.reset(); // joins the decode workers
-  if (!Ok)
-    return false;
+  for (size_t I = 0; I != N; ++I)
+    if (Failed[I]) {
+      if (Err)
+        *Err = Errs[I];
+      return false;
+    }
 
-  // Deliveries whose sender CT arrived in a later window resolve now.
-  for (jsrt::ScheduleId Id : ParkedHandoffs)
-    if (CtSeen.find(Id))
-      ++Stats.HandoffsResolvedLive;
-
-  // Shard-major union in stream order: identical to the single-shot
-  // ShardedGraph::build() over the same graphs.
-  if (Streams.size() > 1) {
-    for (uint32_t I = 0; I != Streams.size(); ++I)
-      Merged.mergeShard(Streams[I]->Builder->graph(), I);
+  // Shard-major union in stream order, moving each stream's graph: the
+  // same graph ShardedGraph::build() makes from copies.
+  if (N > 1) {
+    for (uint32_t I = 0; I != N; ++I)
+      Merged.mergeShard(std::move(Streams[I]->Builder->graph()), I);
     Merged.finishMerge();
   }
   return true;

@@ -9,8 +9,8 @@
 /// record frame is self-contained (column deltas reset per frame), so the
 /// expensive half of replay — frame bytes -> TraceRecord rows — can run
 /// out of order, as long as the cheap half — records -> decoder events ->
-/// builder — applies frames in file order. The hub exploits that split
-/// three ways:
+/// builder — applies frames in file order. Streams, in turn, share no
+/// state until their graphs are merged. The hub builds on both:
 ///
 ///  - Pre-scan. scanV4Frames() locates every frame of the mapped record
 ///    section up front (O(frames), header reads only), which both feeds
@@ -18,11 +18,17 @@
 ///    the first event fires, so graph storage is pre-sized once instead of
 ///    grown through reallocation.
 ///
-///  - Pipelined decode. Each stream is an instr::TraceStream, the engine
-///    replayTrace() runs on. With Jobs == 1 the hub runs that engine's
-///    apply loop (frames decoded straight from the mapping under the
-///    decoder's batch memo, next frame prefetched), stopping early when
-///    the stream's tick window closes. With Jobs >= 2 it runs Jobs - 1
+///  - Stream workers. With several input streams (e.g. one per cluster
+///    shard), min(Jobs, streams) threads — the calling thread counts as
+///    one — each take whole streams from a shared counter, in stream
+///    order, and drain them through the engine replayTrace() runs on
+///    (instr::TraceStream's inline apply loop: frames decoded straight
+///    from the mapping under the decoder's batch memo, next frame
+///    prefetched) into the stream's own builder and observers. Streams
+///    share nothing but the thread-safe symbol table, so each graph is
+///    exactly what replayTrace() builds from its stream.
+///
+///  - Pipelined decode. A single stream with Jobs >= 2 runs Jobs - 1
 ///    decode workers plus the committing thread: workers pull frame tasks
 ///    from a shared MpmcQueue and call the engine's stateless
 ///    decodeFrame() into per-slot record buffers; the committer hands
@@ -33,18 +39,12 @@
 ///    table) exactly as serial replay would have it, so DOT output and
 ///    warning sets are byte-identical to replayTrace() at any job count.
 ///
-///  - Streaming merge. N input streams (e.g. one per cluster shard) are
-///    ingested in bounded round-robin tick windows, each stream feeding
-///    its own AsyncGBuilder — live observers attached via builder() see
-///    every stream make progress instead of one stream at a time. At the
-///    end the per-stream graphs are unioned through ShardedGraph's
-///    incremental mergeShard()/finishMerge(), in stream order, which is
-///    the same shard-major renumbering the batch merge performs: the
-///    merged graph is byte-identical to ShardedGraph::build() over the
-///    same graphs. Cross-loop handoffs are also tracked incrementally
-///    during ingestion (sender CT trigger ids vs ClusterRecv CE schedule
-///    ids) for live stats; the authoritative "xloop" edges still come
-///    from the final merge.
+///  - Move merge. Once every stream has drained, the per-stream graphs
+///    are moved, in stream order, into ShardedGraph's mergeShard() and
+///    joined by finishMerge(): storage is appended with shifted ids, not
+///    re-inserted node by node. That is the same shard-major renumbering
+///    the batch merge performs, so the merged graph is byte-identical to
+///    ShardedGraph::build() over the same graphs.
 ///
 /// Torn streams (crash recordings) are located by the engine's recovery
 /// pre-scan and decoded through the same pipeline; a frame that fails to
@@ -68,14 +68,12 @@ namespace ag {
 
 /// Ingestion configuration.
 struct IngestOptions {
-  /// Total threads working on decode: 1 ingests inline (pipelined but
-  /// threadless — the right setting on single-core hosts); N >= 2 spawns
-  /// N - 1 decode workers beside the committing thread.
+  /// Threads working on the ingest, the calling thread included. 1
+  /// ingests inline, one stream after another (the right setting on
+  /// single-core hosts). N >= 2 drains up to N streams at once, one thread
+  /// per stream; a single stream instead gets N - 1 frame-decode workers
+  /// beside its committing thread.
   unsigned Jobs = 1;
-  /// Multi-stream scheduling grain: a stream yields to the next one after
-  /// committing this many ticks. Smaller windows mean fresher live stats
-  /// across streams; the final merged graph is identical either way.
-  uint32_t WindowTicks = 256;
   /// Builder template applied to every stream (promise/emitter filtering,
   /// retirement, ...). The storage hints are superseded by the pre-scan,
   /// which sizes each stream's graph from its exact record count.
@@ -101,15 +99,9 @@ struct IngestStreamStats {
 struct IngestStats {
   uint64_t Records = 0;
   uint64_t Frames = 0;
-  /// Round-robin turns taken (1 per stream when everything fits one
-  /// window).
+  /// Stream turns taken: each stream drains in one turn, so this is the
+  /// number of streams ingested.
   uint64_t Windows = 0;
-  /// Cross-loop handoff deliveries observed during ingestion, and how
-  /// many had already seen their sender's CT when counted (live view;
-  /// the merge's MergeStats is authoritative). Tracked only for
-  /// non-retiring builders.
-  uint64_t HandoffsSeen = 0;
-  uint64_t HandoffsResolvedLive = 0;
   std::vector<IngestStreamStats> Streams;
 };
 
@@ -139,12 +131,17 @@ public:
 
   size_t streams() const { return Streams.size(); }
 
-  /// Stream \p I's builder (valid for the hub's lifetime).
+  /// Stream \p I's builder (valid for the hub's lifetime). Observers
+  /// attached to it run on whichever thread drains the stream, one thread
+  /// at a time. After a multi-stream run(), the stream's graph has moved
+  /// into graph(), and builder(I).graph() is empty.
   AsyncGBuilder &builder(size_t I);
   const AsyncGBuilder &builder(size_t I) const;
 
-  /// Ingests every stream. Returns false with \p Err set on the first
-  /// unrecoverable failure (stats up to that point remain valid).
+  /// Ingests every stream, then merges multi-stream runs. Returns false
+  /// with \p Err set when a stream fails unrecoverably (the lowest stream
+  /// index among failures; streams not yet started are skipped). Stats of
+  /// the streams ingested remain valid.
   bool run(std::string *Err = nullptr);
 
   /// The result graph: the merged union for multi-stream runs, stream 0's
@@ -159,30 +156,16 @@ public:
 
 private:
   struct Stream;
-  struct DecodePool;
 
-  /// Opens \p S and pre-sizes its graph from the scanned record count.
-  /// Returns false with \p Err on unrecoverable failure.
-  bool prepareStream(Stream &S, std::string *Err);
-  /// Commits frames of \p S until the tick window closes or the stream
-  /// drains. Returns false with \p Err on unrecoverable failure.
-  bool pumpStream(Stream &S, std::string *Err);
-  /// Scans new graph nodes of \p S for cross-loop handoff bookkeeping.
-  void scanHandoffs(Stream &S);
+  /// Opens, pre-sizes and drains \p S, then records its stats. Returns
+  /// false with \p Err on unrecoverable failure.
+  bool ingestStream(Stream &S, std::string *Err);
 
   IngestOptions Opts;
   std::vector<std::unique_ptr<Stream>> Streams;
-  std::unique_ptr<DecodePool> Pool;
   ShardedGraph Merged;
   IngestStats Stats;
   bool Ran = false;
-
-  /// Sender CT trigger ids seen so far, across streams (live handoff
-  /// tracking; value unused).
-  FlatMap<jsrt::TriggerId, uint8_t> CtSeen;
-  /// ClusterRecv schedule ids whose CT had not been seen yet when the
-  /// delivery was counted.
-  std::vector<jsrt::ScheduleId> ParkedHandoffs;
 };
 
 } // namespace ag

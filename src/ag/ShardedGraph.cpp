@@ -11,65 +11,24 @@
 using namespace asyncg;
 using namespace asyncg::ag;
 
-void ShardedGraph::mergeShard(const AsyncGraph &In, uint32_t Shard) {
+void ShardedGraph::mergeShard(AsyncGraph &&In, uint32_t Shard) {
   assert(Shard >= Stats.Shards && "merge shards in increasing id order");
   Stats.Shards = Shard + 1;
+  for (const AgTick &T : In.ticks())
+    Stats.SkippedRetiredTicks += T.Retired;
 
   // Tick indices are renumbered shard-major: shard s's ticks keep their
   // loop-local indices shifted past everything merged so far. With one
-  // shard the shift is zero and the copy is exact.
-
-  // Old node id -> merged node id, for this shard's edges and warnings.
-  // Ids are dense (the parity-relevant graphs never retire, and retired
-  // slots just leave unused remap entries).
-  std::vector<NodeId> Remap(In.nodes().size(), InvalidNode);
-
-  const uint32_t ShardBase = IndexBase;
-  uint32_t MaxIndex = IndexBase;
-  for (const AgTick &T : In.ticks()) {
-    if (T.Retired) {
-      ++Stats.SkippedRetiredTicks;
-      continue;
-    }
-    AgTick NT;
-    NT.Index = ShardBase + T.Index;
-    NT.Phase = T.Phase;
-    NT.Shard = Shard;
-    if (NT.Index > MaxIndex)
-      MaxIndex = NT.Index;
-    for (NodeId Old : T.Nodes) {
-      AgNode N = In.node(Old); // copy; addNode reassigns Id and Tick
-      Remap[Old] = G.addNode(std::move(N), NT);
-      ++Stats.Nodes;
-    }
-    G.appendTick(std::move(NT));
-    ++Stats.Ticks;
-  }
-  IndexBase = MaxIndex;
-
-  // Edges stay within their shard graph, so they can be re-added as soon
-  // as the shard's nodes exist; storage order is preserved, which is
-  // what keeps a one-shard merge byte-identical in DOT.
-  for (uint32_t E = 0; E != In.edges().size(); ++E) {
-    if (In.deadEdge(E))
-      continue;
-    const AgEdge &Ed = In.edge(E);
-    NodeId From = Remap[Ed.From], To = Remap[Ed.To];
-    if (From == InvalidNode || To == InvalidNode)
-      continue; // endpoint's tick retired after the edge survived
-    G.addEdge(From, To, Ed.Kind, Ed.Label);
-    ++Stats.Edges;
-  }
-
-  for (const Warning &W : In.warnings()) {
-    Warning NW = W;
-    NW.Node = (W.Node != InvalidNode && W.Node < Remap.size()) ? Remap[W.Node]
-                                                               : InvalidNode;
-    if (NW.Tick != 0)
-      NW.Tick += ShardBase;
-    if (G.addWarning(std::move(NW)))
-      ++Stats.Warnings;
-  }
+  // shard the shift is zero and the graph moves in unchanged.
+  const size_t Ticks0 = G.ticks().size();
+  const size_t Nodes0 = G.nodes().size();
+  const size_t Edges0 = G.edges().size();
+  Stats.Warnings += G.append(std::move(In), IndexBase, Shard);
+  Stats.Ticks += G.ticks().size() - Ticks0;
+  Stats.Nodes += G.nodes().size() - Nodes0;
+  Stats.Edges += G.edges().size() - Edges0;
+  if (G.ticks().size() > Ticks0)
+    IndexBase = G.ticks().back().Index;
 }
 
 const MergeStats &ShardedGraph::finishMerge() {
@@ -98,6 +57,6 @@ MergeStats ShardedGraph::build(const std::vector<const AsyncGraph *> &Shards) {
   Stats = MergeStats();
   IndexBase = 0;
   for (uint32_t S = 0; S != Shards.size(); ++S)
-    mergeShard(*Shards[S], S);
+    mergeShard(AsyncGraph(*Shards[S]), S);
   return finishMerge();
 }

@@ -57,17 +57,22 @@ struct MergeStats {
   uint64_t SkippedRetiredTicks = 0;
 };
 
-/// Merges per-shard Async Graphs into one graph. Two drivers share the
-/// same union logic:
+/// Merges per-shard Async Graphs into one graph. Shards are appended by
+/// moving their storage (AsyncGraph::append()): node, edge, tick and pool
+/// ids shift by offsets, the first shard moves in outright, and the four
+/// id indices are re-keyed. A shard graph with retired slots is compacted
+/// in tick order first, so the union is always dense. Two entry points
+/// share the append:
 ///
-///  - build() is the original single-shot batch merge (cluster harness at
-///    quiesce): all shards at once, then the handoff join.
-///  - mergeShard()/finishMerge() is the incremental form the streaming
-///    ingest hub (ag/IngestHub.h) uses: shards are unioned one at a time,
-///    in shard-id order, as their streams finish draining; finishMerge()
-///    runs the handoff join over whatever has been unioned. The final
-///    graph is identical to a build() over the same shards in the same
-///    order — tick renumbering stays shard-major either way.
+///  - mergeShard()/finishMerge(): shards are moved in one at a time, in
+///    shard-id order; finishMerge() runs the handoff join over whatever
+///    has been merged. The ingest hub (ag/IngestHub.h) and the cluster
+///    harness merge their per-stream and per-loop graphs this way.
+///  - build() is the single-shot form over const graphs: it copies each
+///    input and appends the copy, leaving the inputs untouched.
+///
+/// Either way the merged graph is the one a tick-by-tick copy of every
+/// shard, in shard order, would build: tick renumbering is shard-major.
 class ShardedGraph {
 public:
   /// Unions \p Shards (index = shard id, so element 0 is loop 0) into the
@@ -75,9 +80,10 @@ public:
   /// and warning anchors are remapped; the inputs are not modified.
   MergeStats build(const std::vector<const AsyncGraph *> &Shards);
 
-  /// Incrementally unions \p In as shard \p Shard. Call in increasing
-  /// shard order (ids name the merge blocks: renumbering is shard-major).
-  void mergeShard(const AsyncGraph &In, uint32_t Shard);
+  /// Appends \p In as shard \p Shard by moving its storage; \p In is left
+  /// empty. Call in increasing shard order (ids name the merge blocks:
+  /// renumbering is shard-major).
+  void mergeShard(AsyncGraph &&In, uint32_t Shard);
 
   /// Joins cross-loop handoffs over everything merged so far and returns
   /// the final stats. Call once, after the last mergeShard().

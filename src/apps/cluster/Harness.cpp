@@ -318,14 +318,16 @@ ClusterResult ClusterHarness::run() {
   for (std::thread &T : Threads)
     T.join();
 
-  std::vector<const ag::AsyncGraph *> Graphs;
+  // The shard graphs are not read again: move them into the merge.
+  uint32_t MergedShards = 0;
   for (uint32_t S = 0; S != N; ++S) {
     States[S].Result.Kernel = Kernel.shardStats(S);
     if (States[S].Builder)
-      Graphs.push_back(&States[S].Builder->graph());
+      Merged.mergeShard(std::move(States[S].Builder->graph()),
+                        MergedShards++);
   }
-  if (!Graphs.empty())
-    R.Merge = Merged.build(Graphs);
+  if (MergedShards != 0)
+    R.Merge = Merged.finishMerge();
   R.WallSeconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - Start)
                       .count();
@@ -346,7 +348,7 @@ ClusterResult ClusterHarness::run() {
   if (R.MaxVirtualTimeUs > 0)
     R.VirtualThroughput = static_cast<double>(R.TotalCompleted) /
                           (static_cast<double>(R.MaxVirtualTimeUs) / 1e6);
-  if (!Graphs.empty())
+  if (MergedShards != 0)
     R.Warnings = resolveWarnings(Merged.merged());
   return R;
 }

@@ -11,8 +11,11 @@
 /// every stream condition it claims to handle. These tests pin that down:
 ///
 ///  - Table-I cases and an AcmeAir workload, serial vs jobs 1/2/4;
-///  - two-shard cluster streams: the hub's streaming merge vs the batch
-///    ShardedGraph reference vs the harness's own merged graph;
+///  - cluster shard streams (two and three loops, full and retiring
+///    builders): the hub's stream workers and move merge vs the batch
+///    ShardedGraph reference vs the harness's own merged graph, repeated
+///    runs included, plus the merged graph's id indices and build()'s
+///    untouched inputs;
 ///  - torn-tail traces: the hub's clean-prefix recovery vs the serial
 ///    recovered replay, again across job counts;
 ///  - record-byte accounting: replayTrace() and the hub report the bytes
@@ -21,8 +24,8 @@
 ///
 /// Plus unit and two-thread stress coverage for the MpmcQueue the decode
 /// pool schedules through. The bench smoke --check leg re-runs this suite
-/// under TSan, which is what turns "the pool has no data races" into an
-/// enforced property.
+/// under TSan, which is what turns "the decode pool and the stream workers
+/// have no data races" into an enforced property.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,9 +104,12 @@ void serialReference(const std::string &Path, std::string &Dot,
 /// Hub under test: same trace(s) through IngestHub at \p Jobs.
 void hubResult(const std::vector<std::string> &Paths, unsigned Jobs,
                std::string &Dot, std::string &Warnings,
-               ag::IngestStats *Stats = nullptr, bool Detect = false) {
+               ag::IngestStats *Stats = nullptr, bool Detect = false,
+               ag::MergeStats *Merge = nullptr,
+               const ag::BuilderConfig &Config = ag::BuilderConfig()) {
   ag::IngestOptions Opts;
   Opts.Jobs = Jobs;
+  Opts.Builder = Config;
   ag::IngestHub Hub(Opts);
   std::vector<std::unique_ptr<detect::DetectorSuite>> Suites;
   for (const std::string &P : Paths) {
@@ -119,6 +125,86 @@ void hubResult(const std::vector<std::string> &Paths, unsigned Jobs,
   Warnings = viz::warningsReport(Hub.graph());
   if (Stats)
     *Stats = Hub.stats();
+  if (Merge)
+    *Merge = Hub.mergeStats();
+}
+
+/// Serial replay of each path into its own builder (with a detector suite
+/// per builder, as the cluster harness has them).
+struct ShardReplay {
+  std::vector<std::unique_ptr<ag::AsyncGBuilder>> Builders;
+  std::vector<std::unique_ptr<detect::DetectorSuite>> Suites;
+
+  std::vector<const ag::AsyncGraph *> graphs() const {
+    std::vector<const ag::AsyncGraph *> Gs;
+    for (const auto &B : Builders)
+      Gs.push_back(&B->graph());
+    return Gs;
+  }
+};
+
+void replayShards(const std::vector<std::string> &Paths, ShardReplay &R,
+                  const ag::BuilderConfig &Config = ag::BuilderConfig()) {
+  for (const std::string &P : Paths) {
+    R.Builders.emplace_back(new ag::AsyncGBuilder(Config));
+    R.Suites.emplace_back(new detect::DetectorSuite());
+    R.Suites.back()->attachTo(*R.Builders.back());
+    std::string Err;
+    ASSERT_TRUE(instr::replayTrace(P, *R.Builders.back(), &Err))
+        << P << ": " << Err;
+  }
+}
+
+/// Batch reference: serial replay per shard + ShardedGraph::build.
+void batchMerge(const std::vector<std::string> &Paths, std::string &Dot,
+                std::string &Warnings, ag::MergeStats *Merge = nullptr,
+                const ag::BuilderConfig &Config = ag::BuilderConfig()) {
+  ShardReplay R;
+  replayShards(Paths, R, Config);
+  ag::ShardedGraph Merged;
+  ag::MergeStats MS = Merged.build(R.graphs());
+  Dot = viz::toDot(Merged.merged());
+  Warnings = viz::warningsReport(Merged.merged());
+  if (Merge)
+    *Merge = MS;
+}
+
+/// Records a \p Loops-loop cluster run into \p Dir; returns the shard
+/// trace paths in shard order.
+std::vector<std::string> recordCluster(const std::string &Dir, uint32_t Loops,
+                                       std::string *HarnessDot = nullptr) {
+  EXPECT_EQ(::system(("mkdir -p " + Dir).c_str()), 0);
+  cluster::ClusterConfig CCfg;
+  CCfg.Loops = Loops;
+  CCfg.TotalRequests = 300;
+  CCfg.TotalClients = 4;
+  CCfg.RecordDir = Dir;
+  cluster::ClusterHarness Harness(CCfg);
+  Harness.run();
+  if (HarnessDot)
+    *HarnessDot = viz::toDot(Harness.merged());
+  std::vector<std::string> Paths;
+  for (uint32_t S = 0; S != Loops; ++S)
+    Paths.push_back(Dir + "/shard" + std::to_string(S) + ".agtrace");
+  return Paths;
+}
+
+void removeCluster(const std::string &Dir,
+                   const std::vector<std::string> &Paths) {
+  for (const std::string &P : Paths)
+    std::remove(P.c_str());
+  std::remove(Dir.c_str());
+}
+
+void expectSameMergeStats(const ag::MergeStats &A, const ag::MergeStats &B) {
+  EXPECT_EQ(A.Shards, B.Shards);
+  EXPECT_EQ(A.Ticks, B.Ticks);
+  EXPECT_EQ(A.Nodes, B.Nodes);
+  EXPECT_EQ(A.Edges, B.Edges);
+  EXPECT_EQ(A.Warnings, B.Warnings);
+  EXPECT_EQ(A.CrossLoopEdges, B.CrossLoopEdges);
+  EXPECT_EQ(A.UnresolvedHandoffs, B.UnresolvedHandoffs);
+  EXPECT_EQ(A.SkippedRetiredTicks, B.SkippedRetiredTicks);
 }
 
 //===----------------------------------------------------------------------===//
@@ -290,43 +376,15 @@ TEST(IngestAcmeAir, JobSweepMatchesSerialReplay) {
 //===----------------------------------------------------------------------===//
 
 TEST(IngestMerge, StreamingMergeMatchesBatchAndHarness) {
-  using namespace asyncg::cluster;
   std::string Dir = testhelpers::testTempPath("ingest_shards");
-  ASSERT_EQ(::system(("mkdir -p " + Dir).c_str()), 0);
-  ClusterConfig CCfg;
-  CCfg.Loops = 2;
-  CCfg.TotalRequests = 300;
-  CCfg.TotalClients = 4;
-  CCfg.RecordDir = Dir;
-  ClusterHarness Harness(CCfg);
-  Harness.run();
-  std::string HarnessDot = viz::toDot(Harness.merged());
-
-  std::vector<std::string> Paths = {Dir + "/shard0.agtrace",
-                                    Dir + "/shard1.agtrace"};
+  std::string HarnessDot;
+  std::vector<std::string> Paths = recordCluster(Dir, 2, &HarnessDot);
 
   // Batch reference: serial replay per shard + ShardedGraph::build, with
   // a detector suite per shard builder exactly as the harness had them.
   std::string WantDot, WantWarn;
-  {
-    std::vector<std::unique_ptr<ag::AsyncGBuilder>> Builders;
-    std::vector<std::unique_ptr<detect::DetectorSuite>> Suites;
-    std::string Err;
-    for (const std::string &P : Paths) {
-      Builders.emplace_back(new ag::AsyncGBuilder());
-      Suites.emplace_back(new detect::DetectorSuite());
-      Suites.back()->attachTo(*Builders.back());
-      ASSERT_TRUE(instr::replayTrace(P, *Builders.back(), &Err))
-          << P << ": " << Err;
-    }
-    ag::ShardedGraph Merged;
-    std::vector<const ag::AsyncGraph *> Shards;
-    for (auto &B : Builders)
-      Shards.push_back(&B->graph());
-    Merged.build(Shards);
-    WantDot = viz::toDot(Merged.merged());
-    WantWarn = viz::warningsReport(Merged.merged());
-  }
+  ag::MergeStats WantMerge;
+  batchMerge(Paths, WantDot, WantWarn, &WantMerge);
   EXPECT_EQ(WantDot, HarnessDot)
       << "batch replay reference diverged from the harness's own merge";
 
@@ -334,21 +392,322 @@ TEST(IngestMerge, StreamingMergeMatchesBatchAndHarness) {
     SCOPED_TRACE("jobs=" + std::to_string(Jobs));
     std::string Dot, Warn;
     ag::IngestStats Stats;
-    hubResult(Paths, Jobs, Dot, Warn, &Stats, /*Detect=*/true);
+    ag::MergeStats Merge;
+    hubResult(Paths, Jobs, Dot, Warn, &Stats, /*Detect=*/true, &Merge);
     EXPECT_EQ(Dot, WantDot);
     EXPECT_EQ(Warn, WantWarn);
     ASSERT_EQ(Stats.Streams.size(), 2u);
-    // Round-robin windows: with two live streams every stream must have
-    // been scheduled at least once.
-    EXPECT_GE(Stats.Windows, 2u);
-    // Cross-loop deliveries exist in any 2-loop cluster run, and the
-    // live view must agree with itself: resolved <= seen.
-    EXPECT_GT(Stats.HandoffsSeen, 0u);
-    EXPECT_LE(Stats.HandoffsResolvedLive, Stats.HandoffsSeen);
+    // One turn per stream.
+    EXPECT_EQ(Stats.Windows, 2u);
+    // Cross-loop deliveries exist in any 2-loop cluster run, and the merge
+    // joins them to their senders.
+    EXPECT_GT(Merge.CrossLoopEdges, 0u);
+    expectSameMergeStats(Merge, WantMerge);
   }
-  for (const std::string &P : Paths)
-    std::remove(P.c_str());
-  std::remove(Dir.c_str());
+  removeCluster(Dir, Paths);
+}
+
+TEST(IngestMerge, MoreStreamsThanWorkersMatchSerialReplay) {
+  // Three shard streams: at jobs=2 one worker takes two streams, at
+  // jobs=4 a worker has nothing to take.
+  std::string Dir = testhelpers::testTempPath("ingest_shards3");
+  std::string HarnessDot;
+  std::vector<std::string> Paths = recordCluster(Dir, 3, &HarnessDot);
+  std::string WantDot, WantWarn;
+  ag::MergeStats WantMerge;
+  batchMerge(Paths, WantDot, WantWarn, &WantMerge);
+  EXPECT_EQ(WantDot, HarnessDot);
+  EXPECT_EQ(WantMerge.Shards, 3u);
+  for (unsigned Jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    std::string Dot, Warn;
+    ag::IngestStats Stats;
+    ag::MergeStats Merge;
+    hubResult(Paths, Jobs, Dot, Warn, &Stats, /*Detect=*/true, &Merge);
+    EXPECT_EQ(Dot, WantDot);
+    EXPECT_EQ(Warn, WantWarn);
+    EXPECT_EQ(Stats.Windows, 3u);
+    expectSameMergeStats(Merge, WantMerge);
+  }
+  removeCluster(Dir, Paths);
+}
+
+TEST(IngestMerge, FailingStreamFailsTheRun) {
+  // The unreadable stream is reported whichever worker drains it, and
+  // the readable one before it still reports its stats.
+  std::string Dir = testhelpers::testTempPath("ingest_shards_fail");
+  std::vector<std::string> Paths = recordCluster(Dir, 2);
+  const std::string Missing = Dir + "/missing.agtrace";
+  for (unsigned Jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ag::IngestOptions Opts;
+    Opts.Jobs = Jobs;
+    ag::IngestHub Hub(Opts);
+    Hub.addFile(Paths[0]);
+    Hub.addFile(Missing);
+    std::string Err;
+    EXPECT_FALSE(Hub.run(&Err));
+    EXPECT_EQ(Err.rfind(Missing + ": ", 0), 0u) << Err;
+    EXPECT_GT(Hub.stats().Streams[0].Records, 0u);
+  }
+  removeCluster(Dir, Paths);
+}
+
+TEST(IngestMerge, ParallelStreamsAreDeterministic) {
+  // Two stream workers intern symbols concurrently; the output must not
+  // depend on which thread interned a string first.
+  std::string Dir = testhelpers::testTempPath("ingest_shards_det");
+  std::vector<std::string> Paths = recordCluster(Dir, 2);
+  std::string WantDot, WantWarn;
+  batchMerge(Paths, WantDot, WantWarn);
+  for (int Rep = 0; Rep != 10; ++Rep) {
+    SCOPED_TRACE("rep " + std::to_string(Rep));
+    std::string Dot, Warn;
+    hubResult(Paths, 2, Dot, Warn, nullptr, /*Detect=*/true);
+    EXPECT_EQ(Dot, WantDot);
+    EXPECT_EQ(Warn, WantWarn);
+  }
+  removeCluster(Dir, Paths);
+}
+
+/// The union as a node-by-node copy builds it, tick by tick in shard
+/// order, skipping retired ticks, then the handoff join: the reference the
+/// move merge and its compaction step must reproduce.
+ag::AsyncGraph copyMerge(const std::vector<const ag::AsyncGraph *> &Shards) {
+  using namespace asyncg::ag;
+  AsyncGraph G;
+  uint32_t IndexBase = 0;
+  for (uint32_t S = 0; S != Shards.size(); ++S) {
+    const AsyncGraph &In = *Shards[S];
+    std::vector<NodeId> Remap(In.nodes().size(), InvalidNode);
+    const uint32_t Base = IndexBase;
+    for (const AgTick &T : In.ticks()) {
+      if (T.Retired)
+        continue;
+      AgTick NT;
+      NT.Index = Base + T.Index;
+      NT.Phase = T.Phase;
+      NT.Shard = S;
+      for (NodeId Old : T.Nodes)
+        Remap[Old] = G.addNode(In.node(Old), NT);
+      IndexBase = NT.Index;
+      G.appendTick(std::move(NT));
+    }
+    for (uint32_t E = 0; E != In.edges().size(); ++E) {
+      const AgEdge &Ed = In.edge(E);
+      if (!In.deadEdge(E) && Remap[Ed.From] != InvalidNode &&
+          Remap[Ed.To] != InvalidNode)
+        G.addEdge(Remap[Ed.From], Remap[Ed.To], Ed.Kind, Ed.Label);
+    }
+    for (Warning W : In.warnings()) {
+      W.Node = W.Node < Remap.size() ? Remap[W.Node] : InvalidNode;
+      if (W.Tick != 0)
+        W.Tick += Base;
+      G.addWarning(std::move(W));
+    }
+  }
+  const Symbol XLoop("xloop");
+  for (NodeId N = 0; N != G.nodes().size(); ++N) {
+    const AgNode &Node = G.node(N);
+    if (Node.Kind != NodeKind::CE ||
+        Node.Api != jsrt::ApiKind::ClusterRecv || Node.Sched == 0)
+      continue;
+    if (NodeId Ct = G.triggerNode(Node.Sched); Ct != InvalidNode)
+      G.addEdge(Ct, N, EdgeKind::Causal, XLoop);
+  }
+  return G;
+}
+
+/// \p Got holds exactly \p Want's storage: ticks, nodes, edges, both
+/// adjacency lists of every node, warnings, and every id index.
+void expectSameGraph(const ag::AsyncGraph &Got, const ag::AsyncGraph &Want) {
+  using namespace asyncg::ag;
+  ASSERT_EQ(Got.ticks().size(), Want.ticks().size());
+  for (size_t I = 0; I != Want.ticks().size(); ++I) {
+    const AgTick &G = Got.ticks()[I], &W = Want.ticks()[I];
+    EXPECT_EQ(G.Index, W.Index);
+    EXPECT_EQ(G.Shard, W.Shard);
+    EXPECT_EQ(G.Phase, W.Phase);
+    EXPECT_EQ(G.Nodes, W.Nodes) << "tick " << W.Index;
+  }
+  ASSERT_EQ(Got.nodes().size(), Want.nodes().size());
+  auto List = [](EdgeRange R) {
+    std::vector<uint32_t> V;
+    for (uint32_t E : R)
+      V.push_back(E);
+    return V;
+  };
+  for (NodeId N = 0; N != Want.nodes().size(); ++N) {
+    const AgNode &G = Got.node(N), &W = Want.node(N);
+    ASSERT_EQ(G.Id, W.Id);
+    EXPECT_EQ(G.Kind, W.Kind);
+    EXPECT_EQ(G.Tick, W.Tick) << "node " << N;
+    EXPECT_EQ(nodeLabel(G), nodeLabel(W));
+    EXPECT_EQ(List(Got.outEdges(N)), List(Want.outEdges(N))) << "node " << N;
+    EXPECT_EQ(List(Got.inEdges(N)), List(Want.inEdges(N))) << "node " << N;
+    EXPECT_EQ(Got.objectNode(W.Obj), Want.objectNode(W.Obj));
+    EXPECT_EQ(Got.registrationNode(W.Sched), Want.registrationNode(W.Sched));
+    EXPECT_EQ(Got.triggerNode(W.Trigger), Want.triggerNode(W.Trigger));
+    EXPECT_EQ(Got.executionsOf(W.Sched), Want.executionsOf(W.Sched));
+  }
+  ASSERT_EQ(Got.edges().size(), Want.edges().size());
+  for (uint32_t E = 0; E != Want.edges().size(); ++E) {
+    const AgEdge &G = Got.edge(E), &W = Want.edge(E);
+    EXPECT_EQ(G.From, W.From);
+    EXPECT_EQ(G.To, W.To);
+    EXPECT_EQ(G.Kind, W.Kind);
+    EXPECT_EQ(G.Label, W.Label);
+  }
+  ASSERT_EQ(Got.warnings().size(), Want.warnings().size());
+  for (size_t I = 0; I != Want.warnings().size(); ++I) {
+    EXPECT_EQ(Got.warnings()[I].Node, Want.warnings()[I].Node);
+    EXPECT_EQ(Got.warnings()[I].Tick, Want.warnings()[I].Tick);
+    EXPECT_EQ(Got.warnings()[I].Message, Want.warnings()[I].Message);
+  }
+}
+
+TEST(IngestMerge, RetiringStreamsMatchSerialBatchMerge) {
+  // Retiring builders leave tombstones and recycled slots behind; the
+  // merge compacts each stream in tick order before moving it in.
+  std::string Dir = testhelpers::testTempPath("ingest_shards_retire");
+  std::vector<std::string> Paths = recordCluster(Dir, 2);
+  ag::BuilderConfig Config;
+  Config.Retire = true;
+  std::string CopyDot, CopyWarn;
+  {
+    ShardReplay R;
+    replayShards(Paths, R, Config);
+    for (const ag::AsyncGraph *G : R.graphs())
+      ASSERT_GT(G->retired().Ticks, 0u) << "nothing retired: the test "
+                                           "would not reach compaction";
+    ag::AsyncGraph Copy = copyMerge(R.graphs());
+    CopyDot = viz::toDot(Copy);
+    CopyWarn = viz::warningsReport(Copy);
+    ag::ShardedGraph Merged;
+    Merged.build(R.graphs());
+    expectSameGraph(Merged.merged(), Copy);
+  }
+  std::string WantDot, WantWarn;
+  ag::MergeStats WantMerge;
+  batchMerge(Paths, WantDot, WantWarn, &WantMerge, Config);
+  EXPECT_EQ(WantDot, CopyDot) << "compaction diverged from a tick-by-tick copy";
+  EXPECT_EQ(WantWarn, CopyWarn);
+  for (unsigned Jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    std::string Dot, Warn;
+    ag::MergeStats Merge;
+    hubResult(Paths, Jobs, Dot, Warn, nullptr, /*Detect=*/true, &Merge,
+              Config);
+    EXPECT_EQ(Dot, WantDot);
+    EXPECT_EQ(Warn, WantWarn);
+    expectSameMergeStats(Merge, WantMerge);
+  }
+  removeCluster(Dir, Paths);
+}
+
+/// Every id index of \p Merged answers as the shards' own indices do,
+/// remapped: point indices resolve to the last shard holding the id,
+/// execution chains concatenate in shard order.
+void expectRemappedQueries(const std::vector<const ag::AsyncGraph *> &Shards,
+                           const ag::AsyncGraph &Merged) {
+  using namespace asyncg::ag;
+  std::vector<NodeId> Base;
+  NodeId Next = 0;
+  for (const AsyncGraph *G : Shards) {
+    Base.push_back(Next);
+    Next += static_cast<NodeId>(G->nodes().size());
+  }
+  ASSERT_EQ(Merged.nodes().size(), Next);
+  auto Last = [&](auto Query, uint64_t Id) {
+    NodeId Want = InvalidNode;
+    for (size_t S = 0; S != Shards.size(); ++S)
+      if (NodeId N = Query(*Shards[S], Id); N != InvalidNode)
+        Want = N + Base[S];
+    return Want;
+  };
+  size_t Checked = 0;
+  for (const AsyncGraph *G : Shards)
+    for (const AgNode &N : G->nodes()) {
+      ++Checked;
+      switch (N.Kind) {
+      case NodeKind::OB:
+        EXPECT_EQ(Merged.objectNode(N.Obj),
+                  Last([](const AsyncGraph &A, uint64_t I) {
+                    return A.objectNode(I);
+                  }, N.Obj));
+        break;
+      case NodeKind::CR:
+        EXPECT_EQ(Merged.registrationNode(N.Sched),
+                  Last([](const AsyncGraph &A, uint64_t I) {
+                    return A.registrationNode(I);
+                  }, N.Sched));
+        break;
+      case NodeKind::CT:
+        EXPECT_EQ(Merged.triggerNode(N.Trigger),
+                  Last([](const AsyncGraph &A, uint64_t I) {
+                    return A.triggerNode(I);
+                  }, N.Trigger));
+        break;
+      case NodeKind::CE: {
+        std::vector<NodeId> Want;
+        for (size_t S = 0; S != Shards.size(); ++S)
+          for (NodeId E : Shards[S]->executionsOf(N.Sched))
+            Want.push_back(E + Base[S]);
+        EXPECT_EQ(Merged.executionsOf(N.Sched), Want);
+        break;
+      }
+      }
+    }
+  EXPECT_GT(Checked, 0u);
+}
+
+TEST(IngestMerge, MergedIndicesMatchRemappedShards) {
+  std::string Dir = testhelpers::testTempPath("ingest_shards_idx");
+  std::vector<std::string> Paths = recordCluster(Dir, 2);
+  ShardReplay R;
+  replayShards(Paths, R);
+  {
+    SCOPED_TRACE("two shards");
+    ag::ShardedGraph Merged;
+    Merged.build(R.graphs());
+    expectRemappedQueries(R.graphs(), Merged.merged());
+    expectSameGraph(Merged.merged(), copyMerge(R.graphs()));
+  }
+  {
+    // The same graph twice: every id collides, so point indices take the
+    // second copy and execution chains concatenate.
+    SCOPED_TRACE("one shard twice");
+    std::vector<const ag::AsyncGraph *> Twice = {R.graphs()[0],
+                                                 R.graphs()[0]};
+    ag::ShardedGraph Merged;
+    Merged.build(Twice);
+    expectRemappedQueries(Twice, Merged.merged());
+    expectSameGraph(Merged.merged(), copyMerge(Twice));
+  }
+  removeCluster(Dir, Paths);
+}
+
+TEST(IngestMerge, BuildLeavesInputsUnchanged) {
+  std::string Dir = testhelpers::testTempPath("ingest_shards_const");
+  std::vector<std::string> Paths = recordCluster(Dir, 2);
+  for (bool Retire : {false, true}) {
+    SCOPED_TRACE(Retire ? "retiring" : "full");
+    ag::BuilderConfig Config;
+    Config.Retire = Retire;
+    ShardReplay R;
+    replayShards(Paths, R, Config);
+    std::vector<std::string> Before;
+    for (const ag::AsyncGraph *G : R.graphs())
+      Before.push_back(viz::toDot(*G) + viz::warningsReport(*G));
+    ag::ShardedGraph Merged;
+    Merged.build(R.graphs());
+    for (size_t S = 0; S != Before.size(); ++S)
+      EXPECT_EQ(viz::toDot(*R.graphs()[S]) +
+                    viz::warningsReport(*R.graphs()[S]),
+                Before[S])
+          << "shard " << S;
+  }
+  removeCluster(Dir, Paths);
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,14 +7,16 @@
 // Ingests one or more recorded `.agtrace` streams into a single Async
 // Graph through the parallel ingest hub (ag/IngestHub.h):
 //
-//   agingest --in a.agtrace [--in b.agtrace ...] [--jobs N] [--window N]
+//   agingest --in a.agtrace [--in b.agtrace ...] [--jobs N]
 //            [--serial] [--nopromise] [--retire] [--retain-window N]
 //            [--no-detect] [--dot FILE] [--quiet]
 //
 // Multiple --in streams are merged shard-major in argument order (pass
-// cluster shards in shard-id order). --jobs picks the decode parallelism
-// (1 = inline pipelined, the default). --serial bypasses the hub entirely
-// and rebuilds the graph through the classic replayTrace() +
+// cluster shards in shard-id order). --jobs picks the thread count, the
+// calling thread included (1 = inline, the default): with several
+// streams, up to N streams ingest at once, one thread each; a single
+// stream gets N - 1 frame-decode workers instead. --serial bypasses the
+// hub entirely and rebuilds the graph through the classic replayTrace() +
 // ShardedGraph::build() path — the reference for parity checks: for any
 // input set, `agingest --serial` and `agingest --jobs N` must produce
 // byte-identical stdout and --dot output.
@@ -45,7 +47,7 @@ namespace {
 
 int usage(const char *Prog) {
   std::fprintf(stderr,
-               "usage: %s --in FILE [--in FILE ...] [--jobs N] [--window N]\n"
+               "usage: %s --in FILE [--in FILE ...] [--jobs N]\n"
                "           [--serial] [--nopromise] [--retire]"
                " [--retain-window N]\n"
                "           [--no-detect] [--dot FILE] [--quiet]\n",
@@ -70,7 +72,7 @@ int main(int Argc, char **Argv) {
   std::string DotFile;
   bool Serial = false, NoPromise = false, Retire = false, NoDetect = false;
   bool Quiet = false;
-  unsigned long Jobs = 1, Window = 256, RetainWindow = 8;
+  unsigned long Jobs = 1, RetainWindow = 8;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -96,12 +98,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--jobs") {
       if (!NextNum(Jobs, 1)) {
         std::fprintf(stderr, "error: --jobs expects a positive count\n");
-        return 2;
-      }
-    } else if (Arg == "--window") {
-      if (!NextNum(Window, 1)) {
-        std::fprintf(stderr, "error: --window expects a positive tick "
-                             "count\n");
         return 2;
       }
     } else if (Arg == "--retain-window") {
@@ -146,7 +142,6 @@ int main(int Argc, char **Argv) {
   // Hub path.
   ag::IngestOptions Opts;
   Opts.Jobs = static_cast<unsigned>(Jobs);
-  Opts.WindowTicks = static_cast<uint32_t>(Window);
   Opts.Builder = Config;
   ag::IngestHub Hub(Opts);
 
@@ -191,11 +186,10 @@ int main(int Argc, char **Argv) {
       const ag::IngestStats &IS = Hub.stats();
       std::fprintf(stderr,
                    "ingest: %llu records in %llu frames across %zu "
-                   "stream(s), %llu window turns, jobs=%lu\n",
+                   "stream(s), jobs=%lu\n",
                    static_cast<unsigned long long>(IS.Records),
                    static_cast<unsigned long long>(IS.Frames),
-                   Hub.streams(),
-                   static_cast<unsigned long long>(IS.Windows), Jobs);
+                   Hub.streams(), Jobs);
       for (const ag::IngestStreamStats &SS : IS.Streams)
         std::fprintf(stderr,
                      "  %s: v%u %llu records%s%s\n", SS.Path.c_str(),
@@ -207,14 +201,11 @@ int main(int Argc, char **Argv) {
         const ag::MergeStats &MS = Hub.mergeStats();
         std::fprintf(stderr,
                      "merge: %llu ticks, %llu nodes, %llu xloop edges "
-                     "(%llu unresolved); live handoffs %llu/%llu\n",
+                     "(%llu unresolved)\n",
                      static_cast<unsigned long long>(MS.Ticks),
                      static_cast<unsigned long long>(MS.Nodes),
                      static_cast<unsigned long long>(MS.CrossLoopEdges),
-                     static_cast<unsigned long long>(MS.UnresolvedHandoffs),
-                     static_cast<unsigned long long>(
-                         IS.HandoffsResolvedLive),
-                     static_cast<unsigned long long>(IS.HandoffsSeen));
+                     static_cast<unsigned long long>(MS.UnresolvedHandoffs));
       }
     }
   }

@@ -40,7 +40,14 @@ the medians, and the wall tolerance only has to absorb cross-run machine
 variance, not single-run noise. Virtual-time reports keep the tight
 default — they are deterministic and deserve it.
 
-Exit code: 0 when no regressions, 1 otherwise, 2 on bad input.
+Two wall-clock reports are only compared when they ran on the same number
+of hardware threads: a parallel leg measured on 1 thread and on 4 differ
+by design, not by regression. The count is read from the config key
+"hw_threads" or "hardware_threads" (benches use either); when either
+report lacks it, the comparison goes ahead.
+
+Exit code: 0 when no regressions, 1 otherwise, 2 on bad input or on two
+wall-clock reports from different hardware thread counts.
 """
 
 import argparse
@@ -49,6 +56,7 @@ import sys
 
 RATE_SUFFIX = "/s"
 COST_UNITS = {"x", "ns", "us", "ms", "s", "KiB", "MiB", "bytes"}
+HW_THREAD_KEYS = ("hw_threads", "hardware_threads")
 
 
 def direction(unit, name=""):
@@ -68,14 +76,17 @@ def direction(unit, name=""):
 
 
 def load(path):
-    """Returns (metrics dict, is_wall_clock)."""
+    """Returns (metrics dict, is_wall_clock, hardware threads or None)."""
     try:
         with open(path) as f:
             doc = json.load(f)
         metrics = {m["name"]: (float(m["value"]), m["unit"])
                    for m in doc["metrics"]}
-        wall = doc.get("config", {}).get("timing") == "wall-clock"
-        return metrics, wall
+        config = doc.get("config", {})
+        wall = config.get("timing") == "wall-clock"
+        threads = next((float(config[k]) for k in HW_THREAD_KEYS
+                        if k in config), None)
+        return metrics, wall, threads
     except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
@@ -95,8 +106,14 @@ def main():
                     help="metrics missing from CURRENT are not regressions")
     args = ap.parse_args()
 
-    base, base_wall = load(args.baseline)
-    cur, cur_wall = load(args.current)
+    base, base_wall, base_threads = load(args.baseline)
+    cur, cur_wall, cur_threads = load(args.current)
+    if base_wall and cur_wall and None not in (base_threads, cur_threads) \
+            and base_threads != cur_threads:
+        print(f"error: not comparing wall-clock reports across hardware "
+              f"thread counts: {args.baseline} ran on {base_threads:g}, "
+              f"{args.current} on {cur_threads:g}", file=sys.stderr)
+        return 2
     threshold = args.wall_threshold if (base_wall or cur_wall) \
         else args.threshold
 

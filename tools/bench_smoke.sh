@@ -50,10 +50,11 @@
 #   - configures a TSan build (-DASYNCG_TSAN=ON) and runs the SPSC ring
 #     and multi-loop cluster tests under it, plus the ingest test suite —
 #     the MpmcQueue stress and the jobs>=2 decode pool (workers + ordered
-#     committer + steal path) are the new concurrent surface — and the
-#     epoll/io_uring reactor matrix (ReuseportServesAcrossLoops runs
-#     several loops at once), which also runs under ASan next to
-#     fault_kernel_test.
+#     committer + steal path) — then the multi-stream ingest tests five
+#     more times, so the stream workers (one thread per shard stream)
+#     meet many interleavings, and the epoll/io_uring reactor matrix
+#     (ReuseportServesAcrossLoops runs several loops at once), which also
+#     runs under ASan next to fault_kernel_test.
 #
 # Usage: tools/bench_smoke.sh [--check] [--baseline DIR] [build-dir]
 #        (default build dir: build-bench-smoke)
@@ -370,6 +371,9 @@ EOF
   "$TSAN_DIR/tests/cluster_test"
   echo "== [check] running ingest decode pool + MpmcQueue tests under TSan"
   "$TSAN_DIR/tests/ingest_test"
+  echo "== [check] repeating the multi-stream ingest tests under TSan"
+  "$TSAN_DIR/tests/ingest_test" --gtest_filter='IngestMerge.*' \
+    --gtest_repeat=5
   echo "== [check] running the reactor matrix (multi-loop reuseport) under TSan"
   "$TSAN_DIR/tests/epoll_kernel_test"
   echo "== [check] TSan concurrency checks OK"
