@@ -8,7 +8,9 @@
 /// Replacement for BENCHMARK_MAIN() used by the google-benchmark harnesses
 /// (micro_ag, micro_eventloop). Keeps the normal console output and, when
 /// the binary is invoked with `--json <path>`, also writes a BenchReport
-/// capturing each benchmark's real time and items/s counter.
+/// capturing each benchmark's real time, its items/s counter and any
+/// other user counter, with the host's hardware thread count (`hw_threads`)
+/// in the config.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,11 @@
 #include "BenchReport.h"
 
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 namespace asyncg {
 namespace benchjson {
@@ -30,6 +37,8 @@ public:
     double RealTime;
     std::string TimeUnit;
     double ItemsPerSecond; // < 0 when the benchmark reports no counter
+    /// Every other user counter, by name.
+    std::vector<std::pair<std::string, double>> Counters;
   };
 
   std::vector<Sample> Samples;
@@ -47,6 +56,9 @@ public:
       S.ItemsPerSecond = It != R.counters.end()
                              ? static_cast<double>(It->second.value)
                              : -1.0;
+      for (const auto &[Name, C] : R.counters)
+        if (Name != "items_per_second")
+          S.Counters.emplace_back(Name, static_cast<double>(C.value));
       Samples.push_back(std::move(S));
     }
   }
@@ -67,11 +79,16 @@ inline int gbenchMain(int Argc, char **Argv, const char *BenchName) {
 
   BenchReport Report(BenchName);
   Report.config("harness", "google-benchmark");
+  Report.config("hw_threads",
+                static_cast<double>(std::thread::hardware_concurrency()));
   for (const CaptureReporter::Sample &S : Reporter.Samples) {
     Report.metric(S.Name + "/real_time", S.RealTime, S.TimeUnit);
     if (S.ItemsPerSecond >= 0)
       Report.metric(S.Name + "/items_per_second", S.ItemsPerSecond,
                     "items/s");
+    for (const auto &[Name, Value] : S.Counters)
+      Report.metric(S.Name + "/" + Name, Value,
+                    Name.rfind("ns_per_", 0) == 0 ? "ns" : "count");
   }
   return Report.write(JsonPath) ? 0 : 1;
 }

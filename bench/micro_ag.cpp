@@ -9,17 +9,34 @@
 // pending lists and the context validator, and graph queries. These
 // isolate the builder's costs from the runtime's.
 //
+// The builder-budget leg replays one recorded AcmeAir trace (2000
+// requests, 8 clients) on one thread and reports ns/record for three layer
+// stacks — decode only (BuildGraph=false: the shadow stack and tick
+// accounting still run), decode plus graph apply, and decode plus apply
+// plus the detector suite — each with retirement off and on. Differences
+// between adjacent stacks are the per-layer costs of the builder thread.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ag/Builder.h"
 #include "ag/Graph.h"
 #include "ag/Validator.h"
+#include "apps/acmeair/App.h"
+#include "apps/acmeair/Workload.h"
+#include "detect/Detectors.h"
+#include "instr/TraceCodec.h"
+#include "jsrt/Runtime.h"
 #include "viz/Dot.h"
 #include "viz/JsonDump.h"
 
 #include "GBenchMain.h"
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <unistd.h>
 
 using namespace asyncg;
 using namespace asyncg::ag;
@@ -157,6 +174,91 @@ void benchSerializeDot(benchmark::State &State) {
   }
 }
 BENCHMARK(benchSerializeDot);
+
+/// The AcmeAir trace the builder-budget leg replays, recorded on first use
+/// under $TMPDIR (default /tmp) and removed at exit.
+struct BudgetTrace {
+  std::string Path;
+  uint64_t Records = 0;
+
+  BudgetTrace() {
+    const char *Tmp = std::getenv("TMPDIR");
+    Path = std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/micro_ag_budget_" +
+           std::to_string(::getpid()) + ".agtrace";
+    jsrt::Runtime RT;
+    acmeair::AppConfig ACfg;
+    acmeair::AcmeAirApp App(RT, ACfg);
+    acmeair::WorkloadConfig WCfg;
+    WCfg.TotalRequests = 2000;
+    WCfg.Clients = 8;
+    acmeair::WorkloadDriver Driver(RT, ACfg.Port, WCfg);
+    instr::TraceRecorder Rec;
+    if (!Rec.open(Path))
+      return;
+    RT.hooks().attach(&Rec);
+    jsrt::Function Main = RT.makeBuiltin(
+        "main", [&](jsrt::Runtime &, const jsrt::CallArgs &) {
+          App.start(JSLOC);
+          Driver.start();
+          return jsrt::Completion::normal();
+        });
+    RT.main(Main);
+    if (Rec.finalize())
+      Records = Rec.recordCount();
+  }
+  ~BudgetTrace() { std::remove(Path.c_str()); }
+
+  static const BudgetTrace &get() {
+    static const BudgetTrace T;
+    return T;
+  }
+};
+
+enum class Layers { Decode, Apply, Detect };
+
+void benchBuilderBudget(benchmark::State &State, Layers L, bool Retire) {
+  const BudgetTrace &Trace = BudgetTrace::get();
+  if (Trace.Records == 0) {
+    State.SkipWithError("could not record the AcmeAir trace");
+    return;
+  }
+  BuilderConfig Cfg;
+  Cfg.BuildGraph = L != Layers::Decode;
+  Cfg.Retire = Retire;
+  for (auto _ : State) {
+    AsyncGBuilder B(Cfg);
+    detect::DetectorSuite Detectors;
+    if (L == Layers::Detect)
+      Detectors.attachTo(B);
+    std::string Err;
+    if (!instr::replayTrace(Trace.Path, B, &Err)) {
+      State.SkipWithError(Err.c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(B.graph().nodeCount());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Trace.Records));
+  // Seconds per 10^9 records, inverted from a rate: ns per record (the
+  // replay is single-threaded, so CPU time is the wall time it takes).
+  State.counters["ns_per_record"] = benchmark::Counter(
+      static_cast<double>(Trace.Records) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(benchBuilderBudget, decode_retire_off, Layers::Decode, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(benchBuilderBudget, decode_retire_on, Layers::Decode, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(benchBuilderBudget, apply_retire_off, Layers::Apply, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(benchBuilderBudget, apply_retire_on, Layers::Apply, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(benchBuilderBudget, detect_retire_off, Layers::Detect,
+                  false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(benchBuilderBudget, detect_retire_on, Layers::Detect, true)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

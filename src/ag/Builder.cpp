@@ -8,6 +8,7 @@
 
 #include "ag/Templates.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace asyncg;
@@ -19,7 +20,6 @@ GraphObserver::~GraphObserver() = default;
 AsyncGBuilder::AsyncGBuilder(BuilderConfig Config) : Config(Config) {
   if (Config.BuildGraph)
     Graph.reserveHint(Config.ExpectedNodes, Config.ExpectedEdges);
-  CurTick.Nodes.reserve(16);
 }
 
 AsyncGBuilder::~AsyncGBuilder() = default;
@@ -48,10 +48,22 @@ bool AsyncGBuilder::filtered(ApiKind Api) const {
 
 void AsyncGBuilder::openTick(PhaseKind Phase) {
   commitTick();
-  CurTick.Nodes.clear();
+  // The new tick's node range starts wherever the tick pool ends when its
+  // first node arrives (AsyncGraph::addNode).
+  CurTick.NodesBegin = CurTick.NodesEnd = 0;
   CurTick.Index = static_cast<uint32_t>(++TickCounter);
   CurTick.Phase = Phase;
   TickOpen = true;
+  if (Config.Retire) {
+    if (FreeRegions.empty()) {
+      CurRegion = static_cast<uint32_t>(Regions.size());
+      Regions.emplace_back();
+    } else {
+      CurRegion = FreeRegions.back();
+      FreeRegions.pop_back();
+    }
+    Regions[CurRegion] = Region{CurTick.Index, 0, 0};
+  }
   for (GraphObserver *O : Observers)
     O->onTickStart(*this, CurTick);
 }
@@ -59,50 +71,57 @@ void AsyncGBuilder::openTick(PhaseKind Phase) {
 void AsyncGBuilder::commitTick() {
   if (!TickOpen)
     return;
-  if (!CurTick.Nodes.empty()) {
-    // Move the node list into the graph instead of copying it; the next
-    // tick's vector is pre-sized to the committed tick's node count.
-    size_t LastTickNodes = CurTick.Nodes.size();
-    uint32_t Committed = CurTick.Index;
-    Graph.appendTick(std::move(CurTick));
-    CurTick.Nodes = std::vector<NodeId>();
-    CurTick.Nodes.reserve(LastTickNodes);
-    ++CommittedCount;
-    if (Config.Retire) {
-      RegionOrdinal[Committed] = CommittedCount;
-      // A tick with no obligations quiesces at commit; otherwise the last
-      // unpin queues it (see unpinRegion).
-      if (!RegionPending.contains(Committed))
-        Quiesced.push_back(Committed);
-      runRetireScan();
-    }
-  }
-  CurTick.Nodes.clear();
   TickOpen = false;
+  if (CurTick.empty()) {
+    // Obligations are only taken on nodes, so an empty tick has none.
+    if (Config.Retire)
+      FreeRegions.push_back(CurRegion);
+    return;
+  }
+  Graph.appendTick(CurTick);
+  ++CommittedCount;
+  if (Config.Retire) {
+    Region &R = Regions[CurRegion];
+    R.Ordinal = CommittedCount;
+    // A tick with no obligations quiesces at commit; otherwise the last
+    // unpin queues it (see unpinRegion).
+    if (R.Pins == 0)
+      enqueueQuiesced(CurRegion);
+    runRetireScan();
+  }
 }
 
 //===----------------------------------------------------------------------===//
 // Tick-epoch retirement
 //===----------------------------------------------------------------------===//
 
-void AsyncGBuilder::pinRegion(uint32_t Tick) {
-  if (!Config.Retire)
-    return;
-  ++RegionPending[Tick];
+uint32_t AsyncGBuilder::pinRegion() {
+  if (Config.Retire)
+    ++Regions[CurRegion].Pins;
+  return CurRegion;
 }
 
-void AsyncGBuilder::unpinRegion(uint32_t Tick) {
+void AsyncGBuilder::unpinRegion(uint32_t Slot) {
   if (!Config.Retire)
     return;
-  uint32_t *Count = RegionPending.find(Tick);
-  assert(Count && *Count > 0 && "unpin without a matching pin");
-  if (--*Count == 0) {
-    RegionPending.erase(Tick);
-    // Still-open ticks (no ordinal yet) quiesce at commitTick instead;
-    // obligations can only be added while a tick is open.
-    if (RegionOrdinal.contains(Tick))
-      Quiesced.push_back(Tick);
-  }
+  Region &R = Regions[Slot];
+  assert(R.Pins > 0 && "unpin without a matching pin");
+  // A still-open tick (no ordinal yet) quiesces at commitTick instead;
+  // obligations can only be added while a tick is open.
+  if (--R.Pins == 0 && R.Ordinal != 0)
+    enqueueQuiesced(Slot);
+}
+
+void AsyncGBuilder::enqueueQuiesced(uint32_t Slot) {
+  // A commit appends; a late unpin of an older region walks back over the
+  // few newer regions still waiting, which the scans keep to about the
+  // retain window.
+  const uint64_t Ord = Regions[Slot].Ordinal;
+  size_t At = Quiesced.size();
+  while (At != 0 && Regions[Quiesced[At - 1].Slot].Ordinal > Ord)
+    --At;
+  Quiesced.insert(Quiesced.begin() + static_cast<ptrdiff_t>(At),
+                  QuiescedRegion{++QuiesceCount, Slot});
 }
 
 void AsyncGBuilder::runRetireScan() {
@@ -110,23 +129,89 @@ void AsyncGBuilder::runRetireScan() {
     return;
   // Clamped to 1 so the newest committed tick is never retired (its
   // ordinal equals CommittedCount).
-  uint64_t Window = Config.RetainWindow ? Config.RetainWindow : 1;
-  size_t W = 0;
-  for (size_t I = 0; I != Quiesced.size(); ++I) {
-    uint32_t T = Quiesced[I];
-    const uint64_t *Ord = RegionOrdinal.find(T);
-    if (!Ord)
-      continue; // stale duplicate of an already-retired region
-    if (*Ord + Window > CommittedCount) {
-      Quiesced[W++] = T; // still inside the retain window
-      continue;
-    }
+  const uint64_t Window = Config.RetainWindow ? Config.RetainWindow : 1;
+  size_t Due = 0;
+  while (Due != Quiesced.size() &&
+         Regions[Quiesced[Due].Slot].Ordinal + Window <= CommittedCount)
+    ++Due; // everything after Due is inside the retain window
+  // Regions due together retire in the order they quiesced (usually there
+  // is one), which fixes the order their slots are recycled in.
+  if (Due > 1)
+    std::sort(Quiesced.begin(), Quiesced.begin() + static_cast<ptrdiff_t>(Due),
+              [](const QuiescedRegion &A, const QuiescedRegion &B) {
+                return A.Seq < B.Seq;
+              });
+  for (size_t I = 0; I != Due; ++I) {
+    const uint32_t Slot = Quiesced[I].Slot;
+    const uint32_t T = Regions[Slot].Tick;
     for (GraphObserver *O : Observers)
       O->onRegionRetire(*this, T);
     Graph.retireTick(T);
-    RegionOrdinal.erase(T);
+    FreeRegions.push_back(Slot);
   }
-  Quiesced.resize(W);
+  Quiesced.erase(Quiesced.begin(),
+                 Quiesced.begin() + static_cast<ptrdiff_t>(Due));
+}
+
+//===----------------------------------------------------------------------===//
+// Pending registrations
+//===----------------------------------------------------------------------===//
+
+void AsyncGBuilder::addPending(FunctionId Fn, const PendingReg &Reg) {
+  uint32_t C;
+  if (PendingFree != detail::AdjNil) {
+    C = PendingFree;
+    PendingFree = PendingPool[C].FnNext;
+  } else {
+    C = static_cast<uint32_t>(PendingPool.size());
+    PendingPool.emplace_back();
+  }
+  PendingCell &Cell = PendingPool[C];
+  Cell = PendingCell();
+  Cell.Reg = Reg;
+  Cell.Fn = Fn;
+
+  PendingChain &F = Pending[Fn];
+  Cell.FnPrev = F.Tail;
+  if (F.Tail == detail::AdjNil)
+    F.Head = C;
+  else
+    PendingPool[F.Tail].FnNext = C;
+  F.Tail = C;
+
+  if (Reg.BoundObj != 0) {
+    PendingChain &O = PendingByObj[Reg.BoundObj];
+    Cell.ObjPrev = O.Tail;
+    if (O.Tail == detail::AdjNil)
+      O.Head = C;
+    else
+      PendingPool[O.Tail].ObjNext = C;
+    O.Tail = C;
+  }
+}
+
+void AsyncGBuilder::erasePending(uint32_t C) {
+  PendingCell &Cell = PendingPool[C];
+  // Unlinks the cell from one chain; an emptied chain's key is dropped so
+  // both maps stay proportional to the genuinely pending registrations.
+  auto Unlink = [&](auto &Map, auto Key, uint32_t PendingCell::*Prev,
+                    uint32_t PendingCell::*Next) {
+    PendingChain *Ch = Map.find(Key);
+    assert(Ch && "pending cell without its chain");
+    const uint32_t P = Cell.*Prev, N = Cell.*Next;
+    if (P == detail::AdjNil && N == detail::AdjNil) {
+      Map.erase(Key);
+      return;
+    }
+    (P == detail::AdjNil ? Ch->Head : PendingPool[P].*Next) = N;
+    (N == detail::AdjNil ? Ch->Tail : PendingPool[N].*Prev) = P;
+  };
+  Unlink(Pending, Cell.Fn, &PendingCell::FnPrev, &PendingCell::FnNext);
+  if (Cell.Reg.BoundObj != 0)
+    Unlink(PendingByObj, Cell.Reg.BoundObj, &PendingCell::ObjPrev,
+           &PendingCell::ObjNext);
+  Cell.FnNext = PendingFree;
+  PendingFree = C;
 }
 
 void AsyncGBuilder::onBatchBoundary() {
@@ -191,48 +276,43 @@ void AsyncGBuilder::onFunctionEnter(const instr::FunctionEnterEvent &E) {
   NodeId Ce = InvalidNode;
   if (Config.BuildGraph && !filtered(D.Api)) {
     // Algorithm 3: map this execution to a pending registration.
-    if (std::vector<PendingReg> *RegsP = Pending.find(E.F.id())) {
-      auto &Regs = *RegsP;
-      for (size_t I = 0, N = Regs.size(); I != N; ++I) {
-        PendingReg &Reg = Regs[I];
-        if (!ContextValidator::isValid(Reg, D, CurTick.Phase))
-          continue;
-        assert(ContextValidator::contextMatches(Reg, D, CurTick.Phase) &&
-               "registration id and contextual validation disagree");
+    const PendingChain *Chain = Pending.find(E.F.id());
+    for (uint32_t C = Chain ? Chain->Head : detail::AdjNil;
+         C != detail::AdjNil; C = PendingPool[C].FnNext) {
+      const PendingReg &Reg = PendingPool[C].Reg;
+      if (!ContextValidator::isValid(Reg, D, CurTick.Phase))
+        continue;
+      assert(ContextValidator::contextMatches(Reg, D, CurTick.Phase) &&
+             "registration id and contextual validation disagree");
 
-        AgNode Node;
-        Node.Kind = NodeKind::CE;
-        Node.Loc = E.F.loc();
-        Node.Api = Reg.Api;
-        Node.FuncName = E.F.nameSymbol();
-        Node.Func = E.F.id();
-        Node.Sched = Reg.Sched;
-        Node.Obj = Reg.BoundObj;
-        Node.Event = Reg.Event;
-        Node.Internal = E.F.isBuiltin();
-        Ce = addNode(std::move(Node));
+      AgNode Node;
+      Node.Kind = NodeKind::CE;
+      Node.Loc = E.F.loc();
+      Node.Api = Reg.Api;
+      Node.FuncName = E.F.nameSymbol();
+      Node.Func = E.F.id();
+      Node.Sched = Reg.Sched;
+      Node.Obj = Reg.BoundObj;
+      Node.Event = Reg.Event;
+      Node.Internal = E.F.isBuiltin();
+      Ce = addNode(std::move(Node));
 
-        // Dashed binding edge CE ⇠ CR.
-        addEdge(Ce, Reg.Cr, EdgeKind::Binding);
-        // Causal edge from the trigger if one exists, else from the CR.
-        NodeId Ct = D.Trigger.isNone() ? InvalidNode
-                                       : Graph.triggerNode(D.Trigger.Id);
-        if (Ct != InvalidNode)
-          addEdge(Ct, Ce, EdgeKind::Causal);
-        else
-          addEdge(Reg.Cr, Ce, EdgeKind::Causal);
+      // Dashed binding edge CE ⇠ CR.
+      addEdge(Ce, Reg.Cr, EdgeKind::Binding);
+      // Causal edge from the trigger if one exists, else from the CR.
+      NodeId Ct = D.Trigger.isNone() ? InvalidNode
+                                     : Graph.triggerNode(D.Trigger.Id);
+      if (Ct != InvalidNode)
+        addEdge(Ct, Ce, EdgeKind::Causal);
+      else
+        addEdge(Reg.Cr, Ce, EdgeKind::Causal);
 
-        ++Graph.node(Reg.Cr).ExecCount;
-        if (Reg.Once) {
-          unpinRegion(Reg.RegTick);
-          Regs.erase(Regs.begin() + static_cast<ptrdiff_t>(I));
-          // Drop the emptied key so the map stays proportional to the
-          // genuinely pending registrations.
-          if (Regs.empty())
-            Pending.erase(E.F.id());
-        }
-        break;
+      ++Graph.node(Reg.Cr).ExecCount;
+      if (Reg.Once) {
+        unpinRegion(Reg.Region);
+        erasePending(C);
       }
+      break;
     }
 
     // Top-level executions without a tracked registration (internal I/O
@@ -311,9 +391,8 @@ void AsyncGBuilder::processRegistration(const instr::ApiCallEvent &E) {
     Reg.Once = E.Once;
     Reg.BoundObj = E.BoundObj;
     Reg.Event = E.EventName;
-    Reg.RegTick = Graph.node(Cr).Tick;
-    pinRegion(Reg.RegTick);
-    Pending[Cb.id()].push_back(std::move(Reg));
+    Reg.Region = pinRegion();
+    addPending(Cb.id(), Reg);
   }
 
   // Relation edge from the bound object's OB node (△ ⇠ □, labeled with the
@@ -363,20 +442,16 @@ void AsyncGBuilder::processRemoval(const instr::ApiCallEvent &E) {
   if (E.Api == ApiKind::EmitterRemoveListener) {
     if (!E.TriggerHadEffect || E.Callbacks.empty())
       return;
-    FunctionId Fn = E.Callbacks.front().id();
-    std::vector<PendingReg> *Regs = Pending.find(Fn);
-    if (!Regs)
-      return;
-    for (size_t I = 0, N = Regs->size(); I != N; ++I) {
-      PendingReg &Reg = (*Regs)[I];
+    const PendingChain *Chain = Pending.find(E.Callbacks.front().id());
+    for (uint32_t C = Chain ? Chain->Head : detail::AdjNil;
+         C != detail::AdjNil; C = PendingPool[C].FnNext) {
+      const PendingReg &Reg = PendingPool[C].Reg;
       if (Reg.BoundObj != E.BoundObj || Reg.Event != E.EventName)
         continue;
       NodeId CrId = Reg.Cr;
       Graph.node(CrId).Removed = true;
-      unpinRegion(Reg.RegTick);
-      Regs->erase(Regs->begin() + static_cast<ptrdiff_t>(I));
-      if (Regs->empty())
-        Pending.erase(Fn);
+      unpinRegion(Reg.Region);
+      erasePending(C);
       for (GraphObserver *O : Observers)
         O->onRegistrationRemoved(*this, CrId);
       return;
@@ -385,31 +460,22 @@ void AsyncGBuilder::processRemoval(const instr::ApiCallEvent &E) {
   }
 
   if (E.Api == ApiKind::EmitterRemoveAll) {
-    KeyScratch.clear();
-    for (auto &[Fn, Regs] : Pending) {
-      size_t W = 0;
-      for (size_t I = 0; I != Regs.size(); ++I) {
-        PendingReg &Reg = Regs[I];
-        if (Reg.BoundObj == E.BoundObj && Reg.Event == E.EventName) {
-          NodeId CrId = Reg.Cr;
-          Graph.node(CrId).Removed = true;
-          unpinRegion(Reg.RegTick);
-          for (GraphObserver *O : Observers)
-            O->onRegistrationRemoved(*this, CrId);
-          continue;
-        }
-        if (W != I)
-          Regs[W] = std::move(Regs[I]);
-        ++W;
-      }
-      Regs.resize(W);
-      if (Regs.empty())
-        KeyScratch.push_back(Fn);
+    const PendingChain *Chain = PendingByObj.find(E.BoundObj);
+    for (uint32_t C = Chain ? Chain->Head : detail::AdjNil, Next;
+         C != detail::AdjNil; C = Next) {
+      // Read the link first: erasing the chain's last cell drops the
+      // chain itself.
+      Next = PendingPool[C].ObjNext;
+      const PendingReg &Reg = PendingPool[C].Reg;
+      if (Reg.Event != E.EventName)
+        continue;
+      NodeId CrId = Reg.Cr;
+      Graph.node(CrId).Removed = true;
+      unpinRegion(Reg.Region);
+      erasePending(C);
+      for (GraphObserver *O : Observers)
+        O->onRegistrationRemoved(*this, CrId);
     }
-    // Erase emptied keys after the iteration: FlatMap must not be mutated
-    // while being walked.
-    for (FunctionId Fn : KeyScratch)
-      Pending.erase(Fn);
   }
 }
 
@@ -458,7 +524,11 @@ void AsyncGBuilder::onObjectCreate(const instr::ObjectCreateEvent &E) {
   NodeId Ob = addNode(std::move(Node));
   // The OB pins its region until the runtime releases the object: queries
   // and detectors can reach it for as long as the program can.
-  pinRegion(Graph.node(Ob).Tick);
+  if (Config.Retire) {
+    if (Ob >= ObRegion.size())
+      ObRegion.resize(Graph.nodes().size());
+    ObRegion[Ob] = pinRegion();
+  }
 
   // Promise chain relation: parent △ ⇠ derived △ labeled with the API.
   if (E.Parent != 0) {
@@ -494,36 +564,24 @@ void AsyncGBuilder::onObjectRelease(const instr::ObjectReleaseEvent &E) {
   // Every registration still bound to the object can never fire again:
   // give observers the definitive verdict, then erase it. This runs in
   // both modes so detector inputs are identical with and without --retire.
-  KeyScratch.clear();
-  for (auto &[Fn, Regs] : Pending) {
-    size_t W = 0;
-    for (size_t I = 0; I != Regs.size(); ++I) {
-      PendingReg &Reg = Regs[I];
-      if (Reg.BoundObj == E.Obj) {
-        NodeId CrId = Reg.Cr;
-        for (GraphObserver *O : Observers)
-          O->onRegistrationReleased(*this, CrId);
-        unpinRegion(Reg.RegTick);
-        continue;
-      }
-      if (W != I)
-        Regs[W] = std::move(Regs[I]);
-      ++W;
-    }
-    Regs.resize(W);
-    if (Regs.empty())
-      KeyScratch.push_back(Fn);
+  const PendingChain *Chain = PendingByObj.find(E.Obj);
+  for (uint32_t C = Chain ? Chain->Head : detail::AdjNil, Next;
+       C != detail::AdjNil; C = Next) {
+    Next = PendingPool[C].ObjNext;
+    const PendingReg &Reg = PendingPool[C].Reg;
+    for (GraphObserver *O : Observers)
+      O->onRegistrationReleased(*this, Reg.Cr);
+    unpinRegion(Reg.Region);
+    erasePending(C);
   }
-  for (FunctionId Fn : KeyScratch)
-    Pending.erase(Fn);
 
   NodeId Ob = Graph.objectNode(E.Obj);
   for (GraphObserver *O : Observers)
     O->onObjectReleased(*this, Ob, E.Obj, E.IsPromise);
   // The object's OB node (if it was ever bound into the graph) no longer
   // pins its region.
-  if (Ob != InvalidNode)
-    unpinRegion(Graph.node(Ob).Tick);
+  if (Config.Retire && Ob != InvalidNode)
+    unpinRegion(ObRegion[Ob]);
 }
 
 void AsyncGBuilder::onLoopEnd(const instr::LoopEndEvent &E) {
@@ -539,15 +597,13 @@ void AsyncGBuilder::onLoopEnd(const instr::LoopEndEvent &E) {
 
 size_t AsyncGBuilder::memoryFootprint() const {
   size_t Bytes = Graph.memoryFootprint();
-  Bytes += Pending.memoryUsage();
-  for (const auto &KV : Pending)
-    Bytes += KV.second.capacity() * sizeof(PendingReg);
-  Bytes += RegionPending.memoryUsage();
-  Bytes += RegionOrdinal.memoryUsage();
-  Bytes += Quiesced.capacity() * sizeof(uint32_t);
-  Bytes += KeyScratch.capacity() * sizeof(jsrt::FunctionId);
+  Bytes += Pending.memoryUsage() + PendingByObj.memoryUsage();
+  Bytes += PendingPool.capacity() * sizeof(PendingCell);
+  Bytes += Regions.capacity() * sizeof(Region);
+  Bytes += FreeRegions.capacity() * sizeof(uint32_t);
+  Bytes += ObRegion.capacity() * sizeof(uint32_t);
+  Bytes += Quiesced.capacity() * sizeof(QuiescedRegion);
   Bytes += ShadowStack.capacity() * sizeof(jsrt::FunctionId);
   Bytes += CeStack.capacity() * sizeof(NodeId);
-  Bytes += CurTick.Nodes.capacity() * sizeof(NodeId);
   return Bytes;
 }

@@ -145,18 +145,54 @@ private:
   void processCombinator(const instr::ApiCallEvent &E);
   void processRemoval(const instr::ApiCallEvent &E);
 
-  /// \name Tick-epoch retirement accounting
-  /// Each committed tick roots a region; RegionPending counts the
-  /// obligations pinning it: one per pending registration whose CR lives
-  /// in the tick, one per unreleased tracked object whose OB lives in it.
-  /// A region whose count reaches zero after commit is quiesced; once it
-  /// falls RetainWindow ticks behind the newest committed tick it is
-  /// retired (observers notified, then storage reclaimed).
+  /// \name Pending registrations
+  /// The paper's L_pending^cb lists, pooled: every pending registration is
+  /// one PendingCell, linked into its callback's chain (Pending, probed on
+  /// every function enter) and, when bound to an object, into that
+  /// object's chain (PendingByObj, walked by a release or
+  /// removeAllListeners). Both chains are doubly linked and in
+  /// registration order; freed cells are recycled through PendingFree.
   /// @{
-  void pinRegion(uint32_t Tick);
-  void unpinRegion(uint32_t Tick);
-  /// Retires every quiesced region outside the retain window. Called at
-  /// commitTick and from onBatchBoundary (never while a tick is open).
+  struct PendingCell {
+    PendingReg Reg;
+    jsrt::FunctionId Fn = 0;
+    uint32_t FnPrev = detail::AdjNil, FnNext = detail::AdjNil;
+    uint32_t ObjPrev = detail::AdjNil, ObjNext = detail::AdjNil;
+  };
+  struct PendingChain {
+    uint32_t Head = detail::AdjNil;
+    uint32_t Tail = detail::AdjNil;
+  };
+  void addPending(jsrt::FunctionId Fn, const PendingReg &Reg);
+  /// Unlinks cell \p C from both chains (dropping emptied keys) and frees
+  /// it.
+  void erasePending(uint32_t C);
+  /// @}
+
+  /// \name Tick-epoch retirement accounting
+  /// Each opened tick gets a slot in Regions (recycled once the tick
+  /// retires, or at commit when it stays empty). A region counts the
+  /// obligations pinning it: one per pending registration whose CR lives
+  /// in the tick (PendingReg::Region), one per unreleased tracked object
+  /// whose OB lives in it (ObRegion). A committed region whose count is
+  /// zero is quiesced and waits in Quiesced, ordered by commit ordinal;
+  /// once it falls RetainWindow committed ticks behind the newest one it
+  /// is retired (observers notified, then storage reclaimed).
+  /// @{
+  struct Region {
+    uint32_t Tick = 0;
+    uint32_t Pins = 0;
+    /// Commit ordinal (1-based); 0 while the tick is open.
+    uint64_t Ordinal = 0;
+  };
+  /// Pins the open tick's region; returns its slot.
+  uint32_t pinRegion();
+  void unpinRegion(uint32_t Slot);
+  /// Queues a quiesced committed region in commit-ordinal order.
+  void enqueueQuiesced(uint32_t Slot);
+  /// Retires the quiesced regions outside the retain window (a prefix of
+  /// Quiesced). Called at commitTick and from onBatchBoundary (never while
+  /// a tick is open).
   void runRetireScan();
   /// @}
 
@@ -180,26 +216,26 @@ private:
   bool TickOpen = false;
   uint64_t TickCounter = 0;
 
-  /// The pending registration lists L_pending^cb, keyed by callback
-  /// function identity (flat-hash: probed on every function enter).
-  FlatMap<jsrt::FunctionId, std::vector<PendingReg>> Pending;
+  FlatMap<jsrt::FunctionId, PendingChain> Pending;
+  FlatMap<jsrt::ObjectId, PendingChain> PendingByObj;
+  std::vector<PendingCell> PendingPool;
+  uint32_t PendingFree = detail::AdjNil;
 
-  /// Obligation count per (committed or open) tick index; absent = zero.
-  FlatMap<uint32_t, uint32_t> RegionPending;
-  /// Committed ticks whose obligation count dropped to zero, awaiting the
-  /// retain window. May transiently hold duplicates/live entries; the
-  /// retire scan re-checks.
-  std::vector<uint32_t> Quiesced;
-  /// Commit ordinal per retained committed tick (1-based); a region is
-  /// outside the retain window once CommittedCount has advanced
-  /// RetainWindow past its ordinal, i.e. the window is measured in
-  /// committed (rendered) ticks, not opened tick indices. Erased at
-  /// retirement, so the map is proportional to the retained ticks.
-  FlatMap<uint32_t, uint64_t> RegionOrdinal;
+  std::vector<Region> Regions;
+  std::vector<uint32_t> FreeRegions;
+  /// The open tick's region slot.
+  uint32_t CurRegion = 0;
+  /// Region slot of each OB node's tick, indexed by node id.
+  std::vector<uint32_t> ObRegion;
+  /// A quiesced committed region and when it quiesced (1-based count).
+  struct QuiescedRegion {
+    uint64_t Seq;
+    uint32_t Slot;
+  };
+  /// Quiesced committed regions, ascending commit ordinal.
+  std::vector<QuiescedRegion> Quiesced;
+  uint64_t QuiesceCount = 0;
   uint64_t CommittedCount = 0;
-
-  /// Reusable scratch for FlatMap key collection during releases.
-  std::vector<jsrt::FunctionId> KeyScratch;
 };
 
 } // namespace ag

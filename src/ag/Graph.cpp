@@ -45,11 +45,12 @@ std::string ag::nodeLabel(const AgNode &N) {
   return S;
 }
 
-void AsyncGraph::appendTick(AgTick T) {
-  assert(!T.Nodes.empty() && "only non-empty ticks are appended");
+void AsyncGraph::appendTick(const AgTick &T) {
+  assert(!T.empty() && "only non-empty ticks are appended");
+  assert(T.NodesEnd <= TickPool.size() && "tick range inside the pool");
   assert((Ticks.empty() || Ticks.back().Index < T.Index) &&
          "tick indices must be increasing");
-  Ticks.push_back(std::move(T));
+  Ticks.push_back(T);
 }
 
 NodeId AsyncGraph::addNode(AgNode N, AgTick &T) {
@@ -65,7 +66,11 @@ NodeId AsyncGraph::addNode(AgNode N, AgTick &T) {
   }
   N.Id = Id;
   N.Tick = T.Index;
-  T.Nodes.push_back(Id);
+  if (T.empty())
+    T.NodesBegin = T.NodesEnd = static_cast<uint32_t>(TickPool.size());
+  assert(T.NodesEnd == TickPool.size() && "the open tick is the pool's tail");
+  TickPool.push_back(Id);
+  ++T.NodesEnd;
   Nodes[Id] = std::move(N);
   indexNode(Nodes[Id]);
   return Id;
@@ -165,17 +170,6 @@ uint32_t AsyncGraph::addEdge(NodeId From, NodeId To, EdgeKind Kind,
   return E;
 }
 
-void AsyncGraph::removeEdge(uint32_t E) {
-  AgEdge &Ed = Edges[E];
-  assert(Ed.From != InvalidNode && "removing a dead edge");
-  unlinkAdj(Out[Ed.From], E);
-  unlinkAdj(In[Ed.To], E);
-  Ed.From = InvalidNode;
-  Ed.To = InvalidNode;
-  FreeEdges.push_back(E);
-  ++Summary.Edges;
-}
-
 void AsyncGraph::reserveHint(size_t ExpectedNodes, size_t ExpectedEdges,
                              size_t ExpectedTicks) {
   if (ExpectedTicks)
@@ -217,34 +211,38 @@ void AsyncGraph::clearWarnings(const std::set<BugCategory> &Categories) {
   Warnings = std::move(Kept);
 }
 
-void AsyncGraph::retireNode(NodeId N) {
+void AsyncGraph::retireNode(NodeId N, uint32_t Tick) {
   AgNode &Node = Nodes[N];
   assert(Node.Id == N && "retiring a dead node");
 
   ++Summary.Nodes;
   ++Summary.ByKind[static_cast<int>(Node.Kind)];
-  ++Summary.ByApi[static_cast<uint32_t>(Node.Api)];
-  ++Summary.ByLoc[(static_cast<uint64_t>(Node.Loc.fileSymbol().id()) << 32) |
-                  Node.Loc.line()];
 
-  // Unlink every incident edge. Read each cell's Next before removal:
-  // removeEdge frees the cell we stand on (its Next becomes a freelist
-  // link), but never any other cell of the same chain — the edge's second
-  // cell lives in the opposite endpoint's list (the graph has no
-  // self-edges).
+  // Free every cell of both lists and every edge still live. The first
+  // endpoint to reach an edge frees it: a surviving far endpoint has the
+  // edge unlinked from its list, while a far endpoint of the same tick
+  // dies too and will only free its own cell. Either way this node's lists
+  // go whole, so no cell is unlinked from them.
   for (int Dir = 0; Dir != 2; ++Dir) {
-    uint32_t Head = Dir == 0 ? Out[N].Head : In[N].Head;
-    for (uint32_t At = Head, Next; At != detail::AdjNil; At = Next) {
+    AdjList &L = Dir == 0 ? Out[N] : In[N];
+    for (uint32_t At = L.Head, Next; At != detail::AdjNil; At = Next) {
       Next = AdjPool[At].Next;
       uint32_t E = AdjPool[At].Edge;
-      if (Edges[E].From != InvalidNode)
-        removeEdge(E);
+      AgEdge &Ed = Edges[E];
+      if (Ed.From != InvalidNode) {
+        NodeId Far = Dir == 0 ? Ed.To : Ed.From;
+        if (Nodes[Far].Tick != Tick)
+          unlinkAdj(Dir == 0 ? In[Far] : Out[Far], E);
+        Ed.From = InvalidNode;
+        Ed.To = InvalidNode;
+        FreeEdges.push_back(E);
+        ++Summary.Edges;
+      }
+      AdjPool[At].Next = AdjFree;
+      AdjFree = At;
     }
+    L = AdjList{};
   }
-  assert(Out[N].Count == 0 && In[N].Count == 0 &&
-         "adjacency must drain with its edges");
-  Out[N] = AdjList{};
-  In[N] = AdjList{};
 
   switch (Node.Kind) {
   case NodeKind::OB:
@@ -288,7 +286,7 @@ void AsyncGraph::retireNode(NodeId N) {
     break;
   }
 
-  Nodes[N] = AgNode{}; // default Id is InvalidNode: the dead-slot marker
+  Node.Id = InvalidNode; // the dead-slot marker; the other fields go stale
   FreeNodes.push_back(N);
 }
 
@@ -308,35 +306,60 @@ void AsyncGraph::retireTick(uint32_t Index) {
         Nodes[W.Node].Id == W.Node && Nodes[W.Node].Tick == Index)
       W.Node = InvalidNode;
 
-  for (NodeId N : T.Nodes)
-    retireNode(N);
-  std::vector<NodeId>().swap(T.Nodes);
+  for (NodeId N : tickNodes(T))
+    retireNode(N, Index);
+  // A tombstone lists no nodes; its dead range leaves the pool at the
+  // next compaction.
+  T.NodesBegin = T.NodesEnd;
   T.Retired = true;
   ++Summary.Ticks;
   ++RetiredInVector;
 
-  // Compact the tick vector once tombstones dominate, so Ticks itself
-  // stays O(live window).
-  if (RetiredInVector > 64 && RetiredInVector * 2 > Ticks.size()) {
-    Ticks.erase(std::remove_if(Ticks.begin(), Ticks.end(),
-                               [](const AgTick &T) { return T.Retired; }),
-                Ticks.end());
-    RetiredInVector = 0;
+  // Compact the tick vector and the pool once tombstones dominate, so
+  // both stay O(live window).
+  if (RetiredInVector > 64 && RetiredInVector * 2 > Ticks.size())
+    compactTicks();
+}
+
+void AsyncGraph::compactTicks() {
+  assert((Ticks.empty() || Ticks.back().NodesEnd == TickPool.size()) &&
+         "no open tick may hold pool entries while ticks compact");
+  uint32_t At = 0;
+  size_t Kept = 0;
+  for (AgTick &T : Ticks) {
+    if (T.Retired)
+      continue;
+    const uint32_t Size = T.NodesEnd - T.NodesBegin;
+    if (At != T.NodesBegin)
+      std::copy(TickPool.begin() + T.NodesBegin,
+                TickPool.begin() + T.NodesEnd, TickPool.begin() + At);
+    T.NodesBegin = At;
+    T.NodesEnd = At += Size;
+    Ticks[Kept++] = T;
   }
+  Ticks.resize(Kept);
+  TickPool.resize(At);
+  RetiredInVector = 0;
 }
 
 void AsyncGraph::compact() {
   if (Summary.Ticks == 0) {
-    NodeId Expect = 0;
+    // The builder's layout: the ticks tile the pool in order and the pool
+    // lists every node id in order.
+    uint32_t Expect = 0;
     bool InOrder = true;
-    for (const AgTick &T : Ticks)
-      for (NodeId N : T.Nodes)
-        InOrder = InOrder && N == Expect++;
-    if (InOrder && Expect == Nodes.size())
+    for (const AgTick &T : Ticks) {
+      InOrder = InOrder && T.NodesBegin == Expect;
+      Expect = T.NodesEnd;
+    }
+    for (uint32_t I = 0; InOrder && I != TickPool.size(); ++I)
+      InOrder = TickPool[I] == I;
+    if (InOrder && Expect == TickPool.size() && Expect == Nodes.size())
       return;
   }
 
-  // Move the nodes of every live tick, in tick order, into dense slots.
+  // Move the nodes of every live tick, in tick order, into dense slots;
+  // the new pool is then the identity, tiled by the kept ticks.
   std::vector<NodeId> Remap(Nodes.size(), InvalidNode);
   std::vector<AgNode> Live;
   Live.reserve(nodeCount());
@@ -345,17 +368,22 @@ void AsyncGraph::compact() {
   for (AgTick &T : Ticks) {
     if (T.Retired)
       continue;
-    for (NodeId &N : T.Nodes) {
+    const uint32_t Begin = static_cast<uint32_t>(Live.size());
+    for (NodeId N : tickNodes(T)) {
       const NodeId New = static_cast<NodeId>(Live.size());
       Live.push_back(std::move(Nodes[N]));
       Live.back().Id = New;
       Remap[N] = New;
-      N = New;
     }
-    Kept.push_back(std::move(T));
+    T.NodesBegin = Begin;
+    T.NodesEnd = static_cast<uint32_t>(Live.size());
+    Kept.push_back(T);
   }
   Ticks = std::move(Kept);
   Nodes = std::move(Live);
+  TickPool.resize(Nodes.size());
+  for (NodeId I = 0; I != Nodes.size(); ++I)
+    TickPool[I] = I;
   RetiredInVector = 0;
   FreeNodes.clear();
 
@@ -398,6 +426,7 @@ size_t AsyncGraph::append(AsyncGraph &&Src, uint32_t TickBase,
          "appended ticks must follow this graph's");
 
   const NodeId NodeBase = static_cast<NodeId>(Nodes.size());
+  const uint32_t PoolBase = static_cast<uint32_t>(TickPool.size());
   const uint32_t EdgeBase = static_cast<uint32_t>(Edges.size());
   const uint32_t AdjBase = static_cast<uint32_t>(AdjPool.size());
   const uint32_t ExecBase = static_cast<uint32_t>(ExecPool.size());
@@ -412,11 +441,12 @@ size_t AsyncGraph::append(AsyncGraph &&Src, uint32_t TickBase,
   for (AgTick &T : Src.Ticks) {
     T.Index += TickBase;
     T.Shard = Shard;
-    if (NodeBase != 0)
-      for (NodeId &N : T.Nodes)
-        N += NodeBase;
+    T.NodesBegin += PoolBase;
+    T.NodesEnd += PoolBase;
   }
   if (Shift) {
+    for (NodeId &N : Src.TickPool)
+      N += NodeBase;
     for (AgNode &N : Src.Nodes) {
       N.Id += NodeBase;
       N.Tick += TickBase;
@@ -448,6 +478,7 @@ size_t AsyncGraph::append(AsyncGraph &&Src, uint32_t TickBase,
                  std::make_move_iterator(From.end()));
   };
   Splice(Ticks, Src.Ticks);
+  Splice(TickPool, Src.TickPool);
   Splice(Nodes, Src.Nodes);
   Splice(Edges, Src.Edges);
   Splice(Out, Src.Out);
@@ -583,8 +614,7 @@ size_t AsyncGraph::memoryFootprint() const {
   Bytes += ObjIndex.memoryUsage() + SchedIndex.memoryUsage() +
            TriggerIndex.memoryUsage() + ExecIndex.memoryUsage();
   Bytes += Ticks.capacity() * sizeof(AgTick);
-  for (const AgTick &T : Ticks)
-    Bytes += T.Nodes.capacity() * sizeof(NodeId);
+  Bytes += TickPool.capacity() * sizeof(NodeId);
   Bytes += Warnings.capacity() * sizeof(Warning);
   // Warning dedup keys: red-black tree nodes (key + 3 pointers + color).
   Bytes += WarningKeys.size() *
@@ -592,6 +622,5 @@ size_t AsyncGraph::memoryFootprint() const {
             4 * sizeof(void *));
   Bytes += FreeNodes.capacity() * sizeof(NodeId);
   Bytes += FreeEdges.capacity() * sizeof(uint32_t);
-  Bytes += Summary.ByApi.memoryUsage() + Summary.ByLoc.memoryUsage();
   return Bytes;
 }

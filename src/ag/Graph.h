@@ -16,8 +16,8 @@
 /// edge labels are interned Symbols (4 bytes, no per-node heap traffic),
 /// node labels are not stored at all but rendered from the node's parts at
 /// output time (nodeLabel()), the id→node indices are open-addressing
-/// FlatMaps, and adjacency lists live in one shared pool instead of a
-/// vector-per-node.
+/// FlatMaps, adjacency lists live in one shared pool instead of a
+/// vector-per-node, and each tick's node list is a range of one tick pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -156,11 +157,17 @@ struct AgTick {
   /// non-zero shards; it affects name() only when non-zero, so single-loop
   /// graphs render identically with or without the merge layer.
   uint32_t Shard = 0;
-  std::vector<NodeId> Nodes;
+  /// The tick's node ids: the range [NodesBegin, NodesEnd) of the graph's
+  /// tick pool, read through AsyncGraph::tickNodes(). The open tick is
+  /// always the pool's tail, so adding a node appends one id.
+  uint32_t NodesBegin = 0;
+  uint32_t NodesEnd = 0;
   /// True once the tick's region was retired: its nodes were reclaimed and
   /// folded into the graph's RetiredSummary. Kept as a tombstone (Index
   /// still orders the vector for binary search) until compaction.
   bool Retired = false;
+
+  bool empty() const { return NodesBegin == NodesEnd; }
 
   std::string name() const {
     std::string S("t");
@@ -232,18 +239,14 @@ private:
 };
 
 /// Compact residue of retired regions: what the graph remembers about
-/// reclaimed ticks once their nodes and edges are gone. Bounded by the
-/// number of distinct APIs and source locations, not by run length.
+/// reclaimed ticks once their nodes and edges are gone. A fixed set of
+/// counters, so its size does not grow with the run.
 struct RetiredSummary {
   uint64_t Ticks = 0;
   uint64_t Nodes = 0;
   uint64_t Edges = 0;
   /// Nodes by NodeKind (CR/CE/CT/OB).
   uint64_t ByKind[4] = {0, 0, 0, 0};
-  /// Nodes per jsrt::ApiKind (cast to uint32_t).
-  FlatMap<uint32_t, uint64_t> ByApi;
-  /// Nodes per packed (file symbol << 32 | line) source location.
-  FlatMap<uint64_t, uint64_t> ByLoc;
 };
 
 /// The Async Graph: ticks, nodes, edges, adjacency, and warnings.
@@ -252,11 +255,13 @@ public:
   /// \name Construction (used by the builder)
   /// @{
 
-  /// Appends a committed (non-empty) tick.
-  void appendTick(AgTick T);
+  /// Appends a committed (non-empty) tick whose nodes were added through
+  /// addNode().
+  void appendTick(const AgTick &T);
 
-  /// Adds a node; assigns its id, records it in its tick, and indexes it.
-  /// \p T must be the currently open tick's storage (builder-managed).
+  /// Adds a node; assigns its id, appends it to \p T's range of the tick
+  /// pool, and indexes it. \p T is the open tick (builder-managed): an
+  /// empty \p T starts at the pool's tail, a non-empty one must end there.
   NodeId addNode(AgNode N, AgTick &T);
 
   /// Adds an edge and updates adjacency. Returns the edge's slot in
@@ -284,13 +289,16 @@ public:
                    size_t ExpectedTicks = 0);
 
   /// Retires the region rooted at tick \p Index: folds every node into the
-  /// RetiredSummary, unlinks and frees all incident edges and adjacency
-  /// cells, drops the id-index entries, invalidates warnings anchored to
-  /// the dying nodes, and pushes node/edge slots onto freelists so live
-  /// NodeIds stay stable while storage is recycled. The caller (the
-  /// builder) guarantees the region has quiesced: no pending registration,
-  /// live listener/timer, or unreleased tracked object pins it. No-op if
-  /// the tick is unknown or already retired.
+  /// RetiredSummary, frees all incident edges and adjacency cells (an edge
+  /// to a surviving node is unlinked from that node's list; one between
+  /// two dying nodes is just freed), drops the id-index entries,
+  /// invalidates warnings anchored to the dying nodes, and pushes node/edge
+  /// slots onto freelists so live NodeIds stay stable while storage is
+  /// recycled. A dead slot keeps its stale fields; only its Id is
+  /// InvalidNode. The caller (the builder) guarantees the region has
+  /// quiesced and that no tick is open: no pending registration, live
+  /// listener/timer, or unreleased tracked object pins it. No-op if the
+  /// tick is unknown or already retired.
   void retireTick(uint32_t Index);
   /// @}
 
@@ -300,17 +308,17 @@ public:
   /// Renumbers the graph densely in tick order, as a graph rebuilt tick by
   /// tick would number it: retired tombstones and nodes outside every
   /// committed tick are dropped, live edges keep their storage order (an
-  /// edge with a dropped endpoint goes too), adjacency, the four indices
-  /// and the execution chains are rebuilt without freelists, and warnings
-  /// are re-anchored. Tick indices and the RetiredSummary stay. A no-op
+  /// edge with a dropped endpoint goes too), the tick pool, adjacency, the
+  /// four indices and the execution chains are rebuilt without freelists,
+  /// and warnings are re-anchored. Tick indices and the RetiredSummary stay. A no-op
   /// after an O(nodes) check when nothing ever retired and every node
   /// already sits in a committed tick in id order, which is how the
   /// builder lays out a full graph.
   void compact();
 
   /// Appends \p Src (compacted first) after this graph's storage by moving
-  /// its vectors: node, edge, adjacency-cell and execution-cell ids shift
-  /// past this graph's, tick indices (of ticks, nodes and warnings) shift
+  /// its vectors: node, edge, tick-pool, adjacency-cell and execution-cell
+  /// ids shift past this graph's, tick indices (of ticks, nodes and warnings) shift
   /// by \p TickBase, and every appended tick is tagged \p Shard. The four
   /// id indices are re-keyed: an id present in both graphs resolves to
   /// \p Src's node, and execution chains of a shared registration id are
@@ -327,6 +335,14 @@ public:
   const std::vector<AgNode> &nodes() const { return Nodes; }
   const std::vector<AgEdge> &edges() const { return Edges; }
   const std::vector<Warning> &warnings() const { return Warnings; }
+
+  /// The node ids of tick \p T, in insertion order.
+  std::span<const NodeId> tickNodes(const AgTick &T) const {
+    return {TickPool.data() + T.NodesBegin, TickPool.data() + T.NodesEnd};
+  }
+  /// Entries in the tick pool: the live ticks' nodes plus the ranges of
+  /// retired tombstones not yet compacted away.
+  size_t tickPoolSize() const { return TickPool.size(); }
 
   const AgNode &node(NodeId N) const { return Nodes[N]; }
   AgNode &node(NodeId N) { return Nodes[N]; }
@@ -407,12 +423,15 @@ private:
   void pushAdj(AdjList &L, uint32_t E);
   /// Unlinks the cell for edge \p E from list \p L and freelists it.
   void unlinkAdj(AdjList &L, uint32_t E);
-  /// Unlinks \p E from both endpoints' adjacency and freelists the slot.
-  void removeEdge(uint32_t E);
-  /// Reclaims one node: edges, index entries, exec chains, then the slot.
-  void retireNode(NodeId N);
+  /// Reclaims one node of retiring tick \p Tick: its adjacency cells and
+  /// live edges, index entries and exec-chain cell, then the slot.
+  void retireNode(NodeId N, uint32_t Tick);
+  /// Drops retired tombstones from Ticks and their ranges from TickPool.
+  void compactTicks();
 
   std::vector<AgTick> Ticks;
+  /// Node ids of every tick, each tick a contiguous range (AgTick).
+  std::vector<NodeId> TickPool;
   std::vector<AgNode> Nodes;
   std::vector<AgEdge> Edges;
   std::vector<AdjList> Out;
@@ -440,8 +459,8 @@ private:
   std::vector<uint32_t> FreeEdges;
   uint32_t AdjFree = detail::AdjNil;
   uint32_t ExecFree = detail::AdjNil;
-  /// Tombstoned (retired) AgTick entries still in Ticks; the vector is
-  /// compacted once they dominate.
+  /// Tombstoned (retired) AgTick entries still in Ticks; the vector and the
+  /// tick pool are compacted once they dominate.
   size_t RetiredInVector = 0;
   RetiredSummary Summary;
   /// @}

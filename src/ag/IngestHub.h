@@ -23,8 +23,8 @@
 ///    one — each take whole streams from a shared counter, in stream
 ///    order, and drain them through the engine replayTrace() runs on
 ///    (instr::TraceStream's inline apply loop: frames decoded straight
-///    from the mapping under the decoder's batch memo, next frame
-///    prefetched) into the stream's own builder and observers. Streams
+///    from the mapping, next frame prefetched) into the stream's own
+///    builder and observers. Streams
 ///    share nothing but the thread-safe symbol table, so each graph is
 ///    exactly what replayTrace() builds from its stream.
 ///

@@ -47,9 +47,9 @@ struct PendingReg {
   /// Emitter event name for listener registrations (interned; equality
   /// against the trigger's event is an integer compare).
   Symbol Event;
-  /// Tick index of the CR node — the region this registration pins while
-  /// it is pending (epoch retirement accounting).
-  uint32_t RegTick = 0;
+  /// The builder's region slot for the CR node's tick — the region this
+  /// registration pins while it is pending (epoch retirement accounting).
+  uint32_t Region = 0;
 };
 
 /// The context validator (Algorithm 3, line 3).

@@ -12,7 +12,7 @@ using namespace asyncg::instr;
 // Out-of-line virtual method anchor.
 AnalysisBase::~AnalysisBase() = default;
 
-thread_local uint64_t instr::detail::ConstructedEvents = 0;
+constinit thread_local uint64_t instr::detail::ConstructedEvents = 0;
 
 uint64_t instr::constructedEventCount() {
   return detail::ConstructedEvents;

@@ -49,8 +49,11 @@ namespace detail {
 /// Per-thread: each loop thread (and the pipeline's decoder thread)
 /// counts its own constructions, so the hot path pays a plain increment
 /// instead of an atomic RMW. constructedEventCount() reads the calling
-/// thread's count, which is what the lazy-fire test observes.
-extern thread_local uint64_t ConstructedEvents;
+/// thread's count, which is what the lazy-fire test observes. constinit:
+/// with no dynamic initialization to run, other translation units access
+/// it directly instead of through a TLS wrapper call, which also keeps
+/// UBSan from flagging the access when the variable sits at TLS offset 0.
+extern thread_local constinit uint64_t ConstructedEvents;
 }
 
 /// Fired before a function body runs (Algorithm 1/3's functionEnter).

@@ -8,8 +8,9 @@
 
 #include "jsrt/Ids.h"
 
+#include <algorithm>
 #include <cstring>
-#include <memory>
+#include <iterator>
 
 using namespace asyncg;
 using namespace asyncg::instr;
@@ -217,8 +218,6 @@ void TraceEncoder::loopEnd(const LoopEndEvent &E,
 // TraceDecoder
 //===----------------------------------------------------------------------===//
 
-TraceDecoder::TraceDecoder() { Funcs.reserve(256); }
-
 Symbol TraceDecoder::sym(uint32_t Raw) const {
   if (Remap.empty())
     return Symbol::fromId(Raw);
@@ -231,42 +230,48 @@ SourceLocation TraceDecoder::loc(uint64_t Packed) const {
   return SourceLocation(sym(packedLocFile(Packed)), packedLocLine(Packed));
 }
 
-const jsrt::Function &TraceDecoder::funcFor(jsrt::FunctionId Id) {
-  if (BatchOn) {
-    FnMemoEntry &E = FnMemo[Id % FnMemoSize];
-    if (E.F && E.Id == Id)
-      return *E.F;
-    if (jsrt::Function *F = Funcs.find(Id)) {
-      E.Id = Id;
-      E.F = F;
+const jsrt::Function &TraceDecoder::newFunc(jsrt::FunctionId Id) {
+  auto Make = [Id] {
+    auto Data = std::make_shared<jsrt::FunctionData>();
+    Data->Id = Id;
+    return jsrt::Function(std::move(Data));
+  };
+  // Once a stray, always a stray: one id keeps one handle even if the
+  // window later grows over its page.
+  if (!StrayFuncs.empty())
+    if (jsrt::Function *F = StrayFuncs.find(Id))
       return *F;
-    }
-  } else if (jsrt::Function *F = Funcs.find(Id)) {
-    return *F;
+  const uint64_t Page = Id >> FuncPageBits;
+  if (FuncDir.empty())
+    FuncPageBase = Page;
+  // The directory span that would cover Page, from its current window.
+  const uint64_t Lo = std::min(FuncPageBase, Page);
+  const uint64_t Hi = std::max(FuncPageBase + FuncDir.size(), Page + 1);
+  if (Hi - Lo > FuncDirSlack * (PagesAllocated + 1))
+    return StrayFuncs[Id] = Make();
+  if (Page < FuncPageBase) {
+    std::vector<std::unique_ptr<FuncPage>> Dir(FuncPageBase - Page);
+    std::move(FuncDir.begin(), FuncDir.end(), std::back_inserter(Dir));
+    FuncDir = std::move(Dir);
+    FuncPageBase = Page;
+  } else if (Page - FuncPageBase >= FuncDir.size()) {
+    FuncDir.resize(Page - FuncPageBase + 1);
   }
-  auto Data = std::make_shared<jsrt::FunctionData>();
-  Data->Id = Id;
-  jsrt::Function &Slot = Funcs[Id];
-  Slot = jsrt::Function(std::move(Data));
-  // The insertion may have rehashed Funcs; every memoized pointer is
-  // suspect now.
-  for (FnMemoEntry &E : FnMemo)
-    E = FnMemoEntry();
-  return Slot;
+  std::unique_ptr<FuncPage> &P = FuncDir[Page - FuncPageBase];
+  if (!P) {
+    P = std::make_unique<FuncPage>();
+    ++PagesAllocated;
+  }
+  jsrt::Function &F = P->Slots[Id & (FuncPageSize - 1)];
+  if (!F)
+    F = Make();
+  return F;
 }
 
 void TraceDecoder::decode(const TraceRecord *Records, size_t N,
                           AnalysisBase &Sink) {
   for (size_t I = 0; I != N; ++I)
     feed(Records[I], Sink);
-}
-
-void TraceDecoder::decodeBatch(const TraceRecord *Records, size_t N,
-                               AnalysisBase &Sink) {
-  beginBatch();
-  for (size_t I = 0; I != N; ++I)
-    feed(Records[I], Sink);
-  endBatch();
 }
 
 void TraceDecoder::finishApiIfReady(AnalysisBase &Sink) {
@@ -319,7 +324,7 @@ void TraceDecoder::feed(const TraceRecord &R, AnalysisBase &Sink) {
     D.TickSeq = R.F64;
     D.Trigger = PendingTrigger;
     PendingTrigger = jsrt::TriggerInfo();
-    // Borrowed from Funcs: the sink's copies are its own business, and
+    // Borrowed from the function table: the sink's copies are its own business, and
     // decoding pays no reference-count traffic per record.
     FunctionEnterEvent Ev{funcFor(R.D64), EmptyArgs, D};
     Sink.onFunctionEnter(Ev);
@@ -553,9 +558,6 @@ bool TraceStream::open(const std::string &Path, std::string *Err) {
   Limit = Frames.size();
   for (const trace::TraceFrameRef &F : Frames)
     ScannedRecords += F.Records;
-  // A trace defines roughly one function per ten records at the high end;
-  // sizing the table up front means it never rehashes mid-stream.
-  Decoder.reserveFuncs(static_cast<size_t>(ScannedRecords / 8 + 256));
   return true;
 }
 
@@ -605,16 +607,13 @@ bool TraceStream::applyNext(AnalysisBase &Sink, std::string *Err) {
     // the sink only ever sees whole frames.
     if (!decodeFrame(Next, Scratch, &FrameErr))
       return failNext(FrameErr, Err);
-    Decoder.decodeBatch(Scratch.data(), Scratch.size(), Sink);
+    Decoder.decode(Scratch.data(), Scratch.size(), Sink);
   } else {
     size_t Consumed = 0;
-    Decoder.beginBatch();
-    bool Ok = trace::decodeV4Frame(
-        Base + F.Offset, F.Bytes, Consumed,
-        [&](const TraceRecord &R) { Decoder.decodeOne(R, Sink); },
-        &FrameErr);
-    Decoder.endBatch();
-    if (!Ok)
+    if (!trace::decodeV4Frame(
+            Base + F.Offset, F.Bytes, Consumed,
+            [&](const TraceRecord &R) { Decoder.decodeOne(R, Sink); },
+            &FrameErr))
       return failNext(FrameErr, Err);
   }
   commit(F, Sink);
@@ -625,7 +624,7 @@ void TraceStream::applyDecoded(const std::vector<TraceRecord> &Records,
                                AnalysisBase &Sink) {
   const trace::TraceFrameRef &F = Frames[Next];
   syncRemap(F);
-  Decoder.decodeBatch(Records.data(), Records.size(), Sink);
+  Decoder.decode(Records.data(), Records.size(), Sink);
   commit(F, Sink);
 }
 

@@ -39,6 +39,7 @@
 #include "support/FlatMap.h"
 #include "support/TraceFormat.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,8 +96,6 @@ private:
 /// analysis. Single-threaded; feed records in encode order.
 class TraceDecoder {
 public:
-  TraceDecoder();
-
   /// Installs the old-id -> new-id symbol mapping of a cross-process trace
   /// (TraceMmapReader::symbolRemap()). Without one, ids are taken as-is
   /// (in-process ring transport).
@@ -114,37 +113,32 @@ public:
     feed(R, Sink);
   }
 
-  /// Batch variant of decode() for the parallel ingest pipeline: identical
-  /// event semantics, but function-identity lookups are served from a
-  /// small direct-mapped memo while the batch runs. A trace frame
-  /// re-enters the same handful of callbacks thousands of times, so
-  /// hoisting the per-record hash probe into the memo is one of the
-  /// batch path's structural wins over record-at-a-time replay. The memo
-  /// only caches entries already in Funcs and is invalidated whenever an
-  /// insertion could rehash the map, so cross-frame decoder state is
-  /// unaffected.
-  void decodeBatch(const trace::TraceRecord *Records, size_t N,
-                   AnalysisBase &Sink);
-
-  /// Scoped enable/disable of the batch memo for callers that feed records
-  /// one at a time but still batch-wise (TraceStream decodes frames
-  /// straight out of the mapping). Balance every beginBatch with endBatch;
-  /// batches must not nest.
-  void beginBatch() { BatchOn = true; }
-  void endBatch() { BatchOn = false; }
-
-  /// Pre-sizes the function table for \p N FuncDef records so it never
-  /// rehashes mid-stream (each rehash also invalidates the batch memo).
-  /// Callers that pre-scan the trace know the record count up front; a
-  /// trace defines roughly one function per ten records at the high end.
-  void reserveFuncs(size_t N) { Funcs.reserve(N); }
-
   /// Records whose opcode or sequencing was invalid (diagnostics; such
   /// records are skipped).
   uint64_t badRecords() const { return BadRecords; }
 
   /// Shard announced by a ShardInfo record (0 for single-loop traces).
   uint32_t shard() const { return ShardId; }
+
+  /// \name Function table size
+  /// Function handles live in pages of FuncPageSize slots, indexed
+  /// directly by id. The page directory covers one window of page numbers,
+  /// anchored at the first id the decoder meets (1 for a run recorded from
+  /// its start, about the runtime's function count for a mid-run attach);
+  /// it widens to take in a page only while it stays within
+  /// FuncDirSlack directory entries per allocated page. An id outside that
+  /// — another shard's id, whose shard bits put it ~2^56 away, or a
+  /// corrupt one like 2^40 — is a stray: it is kept in a hash map and
+  /// counted by strayFuncs(), and allocates no page.
+  /// @{
+  static constexpr unsigned FuncPageBits = 8;
+  static constexpr uint64_t FuncPageSize = uint64_t(1) << FuncPageBits;
+  static constexpr size_t FuncDirSlack = 64;
+  /// Pages allocated for in-window ids.
+  size_t funcPages() const { return PagesAllocated; }
+  /// Functions met whose ids fell outside the page window.
+  size_t strayFuncs() const { return StrayFuncs.size(); }
+  /// @}
 
 private:
   void feed(const trace::TraceRecord &R, AnalysisBase &Sink);
@@ -153,23 +147,30 @@ private:
 
   /// Returns the Function handle for \p Id, creating a placeholder if no
   /// FuncDef arrived yet (e.g. callbacks referenced before first entry).
-  const jsrt::Function &funcFor(jsrt::FunctionId Id);
+  /// The handle stays at its address until the decoder dies, except a
+  /// stray's, which lives only until the next stray is added.
+  const jsrt::Function &funcFor(jsrt::FunctionId Id) {
+    const uint64_t Page = (Id >> FuncPageBits) - FuncPageBase;
+    if (Page < FuncDir.size() && FuncDir[Page]) {
+      jsrt::Function &F = FuncDir[Page]->Slots[Id & (FuncPageSize - 1)];
+      if (F)
+        return F;
+    }
+    return newFunc(Id);
+  }
+  /// funcFor()'s cold path: a first sight, a new page, or a stray.
+  const jsrt::Function &newFunc(jsrt::FunctionId Id);
 
-  FlatMap<jsrt::FunctionId, jsrt::Function> Funcs;
-  std::vector<SymbolId> Remap;
-
-  /// Direct-mapped function memo, live only inside a batch. Entries point
-  /// into Funcs, so any insertion (which may rehash) clears the memo. 128
-  /// slots (2 KiB) cover the working set of callbacks a server workload
-  /// cycles through per frame; at 16 the AcmeAir trace thrashed on
-  /// conflict misses.
-  static constexpr unsigned FnMemoSize = 128;
-  struct FnMemoEntry {
-    jsrt::FunctionId Id = 0;
-    const jsrt::Function *F = nullptr;
+  struct FuncPage {
+    jsrt::Function Slots[FuncPageSize];
   };
-  FnMemoEntry FnMemo[FnMemoSize];
-  bool BatchOn = false;
+  /// Page directory: entry I holds page FuncPageBase + I (null: no id of
+  /// that page met yet).
+  std::vector<std::unique_ptr<FuncPage>> FuncDir;
+  uint64_t FuncPageBase = 0;
+  size_t PagesAllocated = 0;
+  FlatMap<jsrt::FunctionId, jsrt::Function> StrayFuncs;
+  std::vector<SymbolId> Remap;
 
   /// Pending EnterTrigger for the next Enter.
   jsrt::TriggerInfo PendingTrigger;
@@ -264,11 +265,10 @@ struct ReplayStats {
 /// frames located by trace::scanV4Frames; an image whose validation fails
 /// on content (a recording torn by a crash) is located instead by
 /// trace::scanV4Recovery, each frame tagged with the symbol-remap prefix
-/// it needs. Frames are then applied strictly in file order: the decoder's
-/// batch memo is on per frame, the next frame is prefetched, and the sink
-/// gets onBatchBoundary() after every frame. A frame that fails to decode
-/// truncates a recovered stream there (the clean prefix survives) and is a
-/// hard error for a validated one.
+/// it needs. Frames are then applied strictly in file order: the next frame
+/// is prefetched, and the sink gets onBatchBoundary() after every frame. A
+/// frame that fails to decode truncates a recovered stream there (the
+/// clean prefix survives) and is a hard error for a validated one.
 ///
 /// decodeFrame() is the stateless half: any thread may decode any located
 /// frame while the applying thread keeps going, which is how the ingest

@@ -59,7 +59,7 @@ std::string asyncg::viz::toDot(const AsyncGraph &G, const DotOptions &Opts) {
     Out += strFormat("  subgraph cluster_t%u {\n", T.Index);
     Out += strFormat("    label=\"%s\";\n    style=dashed;\n",
                      escapeString(T.name()).c_str());
-    for (NodeId N : T.Nodes) {
+    for (NodeId N : G.tickNodes(T)) {
       const AgNode &Node = G.node(N);
       if (!Opts.IncludeInternal && Node.Internal) {
         Skipped.insert(N);

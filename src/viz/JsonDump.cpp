@@ -28,7 +28,7 @@ std::string asyncg::viz::toJson(const AsyncGraph &G) {
     W.field("phase", jsrt::phaseKindName(T.Phase));
     W.key("nodes");
     W.beginArray();
-    for (NodeId N : T.Nodes)
+    for (NodeId N : G.tickNodes(T))
       W.value(static_cast<uint64_t>(N));
     W.endArray();
     W.endObject();

@@ -58,7 +58,7 @@ std::string asyncg::viz::toText(const AsyncGraph &G,
     }
     ++Rendered;
     Out += T.name() + "\n";
-    for (NodeId N : T.Nodes) {
+    for (NodeId N : G.tickNodes(T)) {
       const AgNode &Node = G.node(N);
       if (!Opts.IncludeInternal && Node.Internal)
         continue;

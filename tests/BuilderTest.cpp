@@ -336,7 +336,7 @@ TEST(Builder, InternalIoDispatcherRootsItsTick) {
   const AsyncGraph &G = B->graph();
   ASSERT_EQ(G.ticks().size(), 2u);
   EXPECT_EQ(G.ticks()[1].Phase, PhaseKind::Io);
-  const AgNode &Root = G.node(G.ticks()[1].Nodes.front());
+  const AgNode &Root = G.node(G.tickNodes(G.ticks()[1]).front());
   EXPECT_EQ(Root.Kind, NodeKind::CE);
   EXPECT_TRUE(Root.Internal);
 }
@@ -382,7 +382,7 @@ TEST(Builder, MainTickHoldsMainCe) {
   const AsyncGraph &G = B->graph();
   ASSERT_EQ(G.ticks().size(), 1u);
   EXPECT_EQ(G.ticks()[0].name(), "t1: main");
-  EXPECT_EQ(G.node(G.ticks()[0].Nodes.front()).Kind, NodeKind::CE);
+  EXPECT_EQ(G.node(G.tickNodes(G.ticks()[0]).front()).Kind, NodeKind::CE);
 }
 
 //===----------------------------------------------------------------------===//

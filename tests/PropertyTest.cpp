@@ -212,7 +212,7 @@ TEST_P(RandomPrograms, InvariantsHold) {
   for (const AgTick &T : G.ticks()) {
     EXPECT_GT(T.Index, PrevIdx);
     PrevIdx = T.Index;
-    EXPECT_FALSE(T.Nodes.empty());
+    EXPECT_FALSE(T.empty());
   }
 
   // I4: causal edges flow forward in time.

@@ -30,6 +30,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -271,4 +273,216 @@ TEST(RetirementMechanics, WarningNodesAreLiveOrDetached) {
           << Def.Name << ": warning anchored to a reclaimed node";
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Retirement order and the retain window
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Drives a builder with hand-made events: one top-level callback per
+/// tick, so every tick commits one internal CE node and pins nothing
+/// unless the body creates an object.
+class TickDriver {
+public:
+  explicit TickDriver(ag::AsyncGBuilder &B) : B(B) {}
+
+  template <typename BodyFn> void tick(BodyFn &&Body) {
+    auto Data = std::make_shared<FunctionData>();
+    Data->Id = ++NextFn;
+    Data->Name = "cb";
+    Function F(std::move(Data));
+    DispatchInfo D;
+    D.Phase = PhaseKind::Io;
+    D.TopLevel = true;
+    B.onFunctionEnter(instr::FunctionEnterEvent{F, NoArgs, D});
+    Body();
+    B.onFunctionExit(instr::FunctionExitEvent{F, Ok, D});
+  }
+  void tick() {
+    tick([] {});
+  }
+
+  void createEmitter(ObjectId Obj) {
+    instr::ObjectCreateEvent E;
+    E.Obj = Obj;
+    B.onObjectCreate(E);
+  }
+  void release(ObjectId Obj) {
+    B.onObjectRelease(instr::ObjectReleaseEvent{Obj, false});
+  }
+
+  /// Indices of the ticks still live in the graph.
+  std::vector<uint32_t> liveTicks() const {
+    std::vector<uint32_t> Live;
+    for (const ag::AgTick &T : B.graph().ticks())
+      if (!T.Retired)
+        Live.push_back(T.Index);
+    return Live;
+  }
+
+private:
+  ag::AsyncGBuilder &B;
+  FunctionId NextFn = 0;
+  CallArgs NoArgs;
+  Completion Ok;
+};
+
+/// Checks, at every retirement, that the region has fallen RetainWindow
+/// committed ticks behind the newest committed tick. Commits are read off
+/// the graph: every commit appends a tick and is followed by a tick start,
+/// a retirement or the loop end before the next commit.
+class WindowWatch final : public ag::GraphObserver {
+public:
+  explicit WindowWatch(uint32_t Window) : Window(Window) {}
+
+  void onTickStart(ag::AsyncGBuilder &B, const ag::AgTick &) override {
+    sync(B);
+  }
+  void onRegionRetire(ag::AsyncGBuilder &B, uint32_t Tick) override {
+    sync(B);
+    ++Retired;
+    auto It = Ordinal.find(Tick);
+    ASSERT_NE(It, Ordinal.end()) << "retired an uncommitted tick " << Tick;
+    EXPECT_LE(It->second + Window, Committed)
+        << "tick " << Tick << " retired inside the retain window";
+  }
+  void onEnd(ag::AsyncGBuilder &B) override { sync(B); }
+
+  uint64_t Retired = 0;
+
+private:
+  void sync(ag::AsyncGBuilder &B) {
+    const auto &Ticks = B.graph().ticks();
+    if (Ticks.empty() || Ticks.back().Index == Newest)
+      return;
+    Newest = Ticks.back().Index;
+    Ordinal[Newest] = ++Committed;
+  }
+
+  uint32_t Window;
+  uint32_t Newest = 0;
+  uint64_t Committed = 0;
+  std::map<uint32_t, uint64_t> Ordinal;
+};
+
+} // namespace
+
+TEST(RetirementOrder, LateUnpinnedRegionRetiresAtNextScan) {
+  // Tick 1 creates an emitter, which pins its region; ticks 2..6 quiesce
+  // at commit and retire behind a window of 2. When the emitter is
+  // released, tick 1 is far outside the window although newer quiesced
+  // regions (5, 6) still wait: the very next scan must retire it.
+  for (bool AtCommit : {true, false}) {
+    ag::BuilderConfig Cfg;
+    Cfg.Retire = true;
+    Cfg.RetainWindow = 2;
+    ag::AsyncGBuilder B(Cfg);
+    TickDriver Drive(B);
+    Drive.tick([&] { Drive.createEmitter(7); });
+    for (int I = 0; I != 5; ++I)
+      Drive.tick();
+    EXPECT_EQ(Drive.liveTicks(), (std::vector<uint32_t>{1, 5, 6}));
+
+    if (AtCommit) {
+      // Released inside tick 7: the scan at its commit retires 1 and 5.
+      Drive.tick([&] { Drive.release(7); });
+      EXPECT_EQ(Drive.liveTicks(), (std::vector<uint32_t>{6, 7}));
+    } else {
+      // Released between ticks: the batch-boundary scan retires 1 alone.
+      Drive.release(7);
+      EXPECT_EQ(Drive.liveTicks(), (std::vector<uint32_t>{1, 5, 6}));
+      B.onBatchBoundary();
+      EXPECT_EQ(Drive.liveTicks(), (std::vector<uint32_t>{5, 6}));
+    }
+    EXPECT_EQ(B.graph().objectNode(7), ag::InvalidNode);
+  }
+}
+
+TEST(RetirementOrder, NoRegionInsideRetainWindowRetires) {
+  for (uint32_t Window : {1u, 2u, 8u}) {
+    for (const CaseDef &Def : allCases()) {
+      Runtime RT(Def.Config);
+      ag::BuilderConfig BCfg;
+      BCfg.Retire = true;
+      BCfg.RetainWindow = Window;
+      ag::AsyncGBuilder Builder(BCfg);
+      detect::DetectorSuite Detectors;
+      Detectors.attachTo(Builder);
+      WindowWatch Watch(Window);
+      Builder.addObserver(&Watch);
+      RT.hooks().attach(&Builder);
+      Def.Run(RT, /*Fixed=*/false);
+    }
+
+    Runtime RT;
+    acmeair::AppConfig ACfg;
+    acmeair::AcmeAirApp App(RT, ACfg);
+    acmeair::WorkloadConfig WCfg;
+    WCfg.TotalRequests = 200;
+    WCfg.Clients = 4;
+    acmeair::WorkloadDriver Driver(RT, ACfg.Port, WCfg);
+    ag::BuilderConfig BCfg;
+    BCfg.Retire = true;
+    BCfg.RetainWindow = Window;
+    ag::AsyncGBuilder Builder(BCfg);
+    WindowWatch Watch(Window);
+    Builder.addObserver(&Watch);
+    RT.hooks().attach(&Builder);
+    Function Main = RT.makeBuiltin("main", [&](Runtime &, const CallArgs &) {
+      App.start(JSLOC);
+      Driver.start();
+      return Completion::normal();
+    });
+    RT.main(Main);
+    EXPECT_GT(Watch.Retired, 1000u) << "window " << Window;
+  }
+}
+
+TEST(RetirementAcmeAir, FootprintAndTickPoolFlatFromNTo2N) {
+  struct Peak {
+    size_t Footprint = 0;
+    size_t TickPool = 0;
+  };
+  // Peaks sampled at every tick start, so a transient high water mark
+  // between compactions counts too.
+  struct Sampler final : ag::GraphObserver {
+    Peak P;
+    void onTickStart(ag::AsyncGBuilder &B, const ag::AgTick &) override {
+      P.Footprint = std::max(P.Footprint, B.memoryFootprint());
+      P.TickPool = std::max(P.TickPool, B.graph().tickPoolSize());
+    }
+  };
+  auto Run = [](uint32_t Requests) {
+    Runtime RT;
+    acmeair::AppConfig ACfg;
+    acmeair::AcmeAirApp App(RT, ACfg);
+    acmeair::WorkloadConfig WCfg;
+    WCfg.TotalRequests = Requests;
+    WCfg.Clients = 8;
+    acmeair::WorkloadDriver Driver(RT, ACfg.Port, WCfg);
+    ag::BuilderConfig BCfg;
+    BCfg.Retire = true;
+    ag::AsyncGBuilder Builder(BCfg);
+    detect::DetectorSuite Detectors;
+    Detectors.attachTo(Builder);
+    Sampler S;
+    Builder.addObserver(&S);
+    RT.hooks().attach(&Builder);
+    Function Main = RT.makeBuiltin("main", [&](Runtime &, const CallArgs &) {
+      App.start(JSLOC);
+      Driver.start();
+      return Completion::normal();
+    });
+    RT.main(Main);
+    EXPECT_EQ(Driver.completed(), Requests);
+    return S.P;
+  };
+  // Steady state by N: twice the requests may move the peaks only by the
+  // timing of the next compaction (a few pool entries), never by growth.
+  const Peak N = Run(1000), N2 = Run(2000);
+  EXPECT_GT(N.TickPool, 0u);
+  EXPECT_LE(N2.Footprint, N.Footprint + N.Footprint / 10);
+  EXPECT_LE(N2.TickPool, N.TickPool + N.TickPool / 10);
 }

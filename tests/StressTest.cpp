@@ -115,7 +115,7 @@ TEST(Stress, AcmeAirGraphInvariantsAtScale) {
   for (const AgTick &T : G.ticks()) {
     EXPECT_GT(T.Index, PrevTick);
     PrevTick = T.Index;
-    EXPECT_FALSE(T.Nodes.empty());
+    EXPECT_FALSE(T.empty());
   }
   for (const AgEdge &E : G.edges()) {
     EXPECT_LT(E.From, G.nodeCount());

@@ -37,6 +37,8 @@
 #include "cases/Case.h"
 #include "detect/Detectors.h"
 #include "instr/TraceCodec.h"
+#include "jsrt/Ids.h"
+#include "support/TraceFormat.h"
 #include "viz/Dot.h"
 
 #include <gtest/gtest.h>
@@ -299,6 +301,135 @@ TEST(ShardedRoundTrip, V4ShardTracesRebuildMergedGraph) {
     std::remove(
         (Cfg.RecordDir + "/shard" + std::to_string(S) + ".agtrace").c_str());
   std::remove(Cfg.RecordDir.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Function ids far from 1: mid-run attach and stray ids
+//===----------------------------------------------------------------------===//
+
+/// Rewrites every function id in \p Rows through \p Map: FuncDef, Enter
+/// and Exit records carry one in D64, ApiFuncs records up to three.
+template <typename MapFn>
+void remapFuncIds(std::vector<trace::TraceRecord> &Rows, MapFn Map) {
+  for (trace::TraceRecord &R : Rows) {
+    switch (static_cast<trace::TraceOp>(R.Op)) {
+    case trace::TraceOp::FuncDef:
+    case trace::TraceOp::Enter:
+    case trace::TraceOp::Exit:
+      R.D64 = Map(R.D64);
+      break;
+    case trace::TraceOp::ApiFuncs: {
+      uint64_t *Ids[3] = {&R.D64, &R.E64, &R.F64};
+      for (unsigned I = 0; I != R.A8 && I != 3; ++I)
+        *Ids[I] = Map(*Ids[I]);
+      break;
+    }
+    default:
+      break;
+    }
+  }
+}
+
+/// The event rows of a short AcmeAir run: its closures give the trace a
+/// few thousand function ids.
+void captureAcmeAir(RowCapture &Rows) {
+  jsrt::Runtime RT;
+  acmeair::AppConfig ACfg;
+  acmeair::AcmeAirApp App(RT, ACfg);
+  acmeair::WorkloadConfig WCfg;
+  WCfg.TotalRequests = 200;
+  WCfg.Clients = 4;
+  acmeair::WorkloadDriver Driver(RT, ACfg.Port, WCfg);
+  RT.hooks().attach(&Rows);
+  jsrt::Function Main =
+      RT.makeBuiltin("main", [&](jsrt::Runtime &, const jsrt::CallArgs &) {
+        App.start(JSLOC);
+        Driver.start();
+        return jsrt::Completion::normal();
+      });
+  RT.main(Main);
+  ASSERT_EQ(Driver.completed(), WCfg.TotalRequests);
+}
+
+void writeRows(const std::string &Path,
+               const std::vector<trace::TraceRecord> &Rows) {
+  trace::TraceFileWriter W;
+  ASSERT_TRUE(W.open(Path));
+  ASSERT_TRUE(W.append(Rows.data(), Rows.size()));
+  ASSERT_TRUE(W.finalize());
+}
+
+/// Decodes \p Rows into a fresh builder; DOT, plus the decoder's function
+/// table size.
+std::string decodeRows(const std::vector<trace::TraceRecord> &Rows,
+                       size_t &Pages, size_t &Strays) {
+  ag::AsyncGBuilder Builder;
+  instr::TraceDecoder Decoder;
+  Decoder.decode(Rows.data(), Rows.size(), Builder);
+  EXPECT_EQ(Decoder.badRecords(), 0u);
+  Pages = Decoder.funcPages();
+  Strays = Decoder.strayFuncs();
+  return viz::toDot(Builder.graph());
+}
+
+TEST(FuncIds, MidRunAttachReplaysIdentically) {
+  // A builder attached mid-run (§V-B) first meets function ids near the
+  // runtime's function count, not near 1. Shifting every id of a recorded
+  // run by 10^7 models that: the replayed graph must not change, and the
+  // function table must cover only the pages the shifted ids occupy.
+  RowCapture Rows;
+  captureAcmeAir(Rows);
+  std::vector<trace::TraceRecord> Shifted = Rows.Rows;
+  constexpr uint64_t Shift = 10'000'000;
+  remapFuncIds(Shifted, [](uint64_t Id) { return Id + Shift; });
+
+  std::string P0 = tempPath("funcids_base"), P1 = tempPath("funcids_shift");
+  writeRows(P0, Rows.Rows);
+  writeRows(P1, Shifted);
+  const std::string Want = replayDot(P0);
+  ASSERT_FALSE(Want.empty());
+  EXPECT_EQ(replayDot(P1), Want);
+  std::remove(P0.c_str());
+  std::remove(P1.c_str());
+
+  size_t Pages0 = 0, Strays0 = 0, Pages1 = 0, Strays1 = 0;
+  EXPECT_EQ(decodeRows(Rows.Rows, Pages0, Strays0), Want);
+  EXPECT_EQ(decodeRows(Shifted, Pages1, Strays1), Want);
+  EXPECT_EQ(Strays0, 0u);
+  EXPECT_EQ(Strays1, 0u);
+  // The shift moves the ids across at most one more page boundary.
+  EXPECT_GE(Pages0, 2u);
+  EXPECT_LE(Pages1, Pages0 + 1);
+}
+
+TEST(FuncIds, FarAndForeignIdsAreStrays) {
+  // Two functions of the run get ids the page window cannot take in: 2^40
+  // (a corrupt id) and the same local id under shard 5's bits (a foreign
+  // shard's id). Each is counted once by strayFuncs() and allocates no
+  // page; the graph is the same.
+  RowCapture Rows;
+  captureAcmeAir(Rows);
+  std::vector<uint64_t> Defined;
+  for (const trace::TraceRecord &R : Rows.Rows)
+    if (static_cast<trace::TraceOp>(R.Op) == trace::TraceOp::FuncDef)
+      Defined.push_back(R.D64);
+  // Not the first ids: the first id the decoder meets anchors its window.
+  ASSERT_GT(Defined.size(), 20u);
+  const uint64_t Far = Defined[10], Foreign = Defined[20];
+  std::vector<trace::TraceRecord> Mapped = Rows.Rows;
+  remapFuncIds(Mapped, [&](uint64_t Id) {
+    if (Id == Far)
+      return uint64_t(1) << 40;
+    if (Id == Foreign)
+      return jsrt::shardIdBase(5) + jsrt::idLocal(Id);
+    return Id;
+  });
+
+  size_t Pages0 = 0, Strays0 = 0, Pages1 = 0, Strays1 = 0;
+  const std::string Want = decodeRows(Rows.Rows, Pages0, Strays0);
+  EXPECT_EQ(decodeRows(Mapped, Pages1, Strays1), Want);
+  EXPECT_EQ(Strays1, 2u);
+  EXPECT_EQ(Pages1, Pages0);
 }
 
 //===----------------------------------------------------------------------===//
